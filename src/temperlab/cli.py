@@ -38,6 +38,7 @@ from .decomposition import (
     verify_tempering_decomposition,
 )
 from .diagnostics import empirical_tv, integrated_autocorr, mode_masses
+from .divergences import _jsonable
 from .fixtures import (
     Fixture,
     FixtureError,
@@ -45,8 +46,7 @@ from .fixtures import (
     get_fixture,
     target_from_dict,
 )
-from .oracles import MixtureOracle
-from .ladder import ScheduleConstants, build_ladder_gaussian
+from .ladder import ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
 from .sampler import RngStream, run_main, run_plain_langevin, run_stlmc
 
 __all__ = ["main"]
@@ -66,23 +66,6 @@ def _load_config(path: str) -> dict:
         doc = json.load(fh)
     jsonschema.validate(doc, _config_schema())
     return doc
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _write_json(path: Path, obj) -> None:
@@ -142,15 +125,8 @@ def _fixture_from_config(config: dict) -> Fixture:
     except jsonschema.ValidationError as e:
         where = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"fixture/{where}: {e.message}") from None
-    return Fixture(
-        name=doc.get("name", "inline"),
-        description=doc.get("description", "inline fixture"),
-        kind="mixture",
-        dim=target.dim,
-        oracle=MixtureOracle(target),
-        target=target,
-        D=target.scale_bound(),
-        w_min=target.w_min,
+    return Fixture.from_target(
+        target, doc.get("name", "inline"), doc.get("description", "inline fixture")
     )
 
 
@@ -159,20 +135,19 @@ def _schedule_constants(config: dict) -> ScheduleConstants:
 
 
 def _ladder_for(fixture: Fixture, config: dict):
-    constants = _schedule_constants(config)
-    eps = config.get("target_accuracy", 0.1)
-    if fixture.target is not None and fixture.target.base.kind == "isotropic-gaussian":
-        sigma = fixture.target.base.sigma
+    common = dict(w_min=fixture.w_min, target_accuracy=config.get("target_accuracy", 0.1),
+                  constants=_schedule_constants(config))
+    base = fixture.target.base if fixture.target is not None else None
+    if base is not None and base.kind == "quadratic-form":
+        ladder, params = build_ladder_logconcave(
+            fixture.dim, D=fixture.D, kappa=base.kappa, K=base.K, **common
+        )
     else:
-        sigma = 1.0
-    ladder, params = build_ladder_gaussian(
-        dim=fixture.dim,
-        D=max(fixture.D, sigma),
-        sigma=sigma,
-        w_min=fixture.w_min,
-        target_accuracy=eps,
-        constants=constants,
-    )
+        # builtins without a mixture target (adversarial) fall back to sigma = 1
+        sigma = base.sigma if base is not None else 1.0
+        ladder, params = build_ladder_gaussian(
+            fixture.dim, D=max(fixture.D, sigma), sigma=sigma, **common
+        )
     ov = config.get("overrides", {})
     if ov:
         params = replace(
@@ -324,6 +299,11 @@ def _mode_verify_decomposition(config: dict, out_dir: Path, jobs: int) -> bool:
                 cells.append("%.17g" % val if isinstance(val, float) else str(val))
             fh.write(",".join(cells) + "\n")
     files.append("decomposition_summary.csv")
+    # an earlier run into this directory may have written more instances
+    for pattern in ("simple_*.json", "tempering_*.json"):
+        for stale in out_dir.glob(pattern):
+            if stale.name not in files:
+                stale.unlink()
     _write_manifest(out_dir, "verify-decomposition", config, files)
 
     failed = [r for r in rows if not r["passed"]]

@@ -217,22 +217,27 @@ def dirichlet_form(proc: FiniteMarkovProcess, g, f=None) -> float:
     return -float((proc.stationary * f) @ (proc.rates @ g))
 
 
+def _bfs_parents(adj: np.ndarray, s: int) -> np.ndarray:
+    """Breadth-first tree from s, neighbours in index order.  parent[s] = s;
+    states that s cannot reach get -1."""
+    parent = np.full(adj.shape[0], -1, dtype=int)
+    parent[s] = s
+    queue = [s]
+    for x in queue:  # the queue grows while it is walked
+        for y in np.nonzero(adj[x])[0]:
+            if parent[y] < 0:
+                parent[y] = x
+                queue.append(int(y))
+    return parent
+
+
 def _components_by_bfs(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    comp = np.full(n, -1, dtype=int)
+    comp = np.full(adj.shape[0], -1, dtype=int)
     c = 0
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = c
-        while stack:
-            x = stack.pop()
-            for y in np.nonzero(adj[x])[0]:
-                if comp[y] < 0:
-                    comp[y] = c
-                    stack.append(int(y))
-        c += 1
+    for s in range(adj.shape[0]):
+        if comp[s] < 0:
+            comp[(_bfs_parents(adj, s) >= 0) & (comp < 0)] = c
+            c += 1
     return comp
 
 
@@ -472,12 +477,7 @@ def build_projected_chain(
     off = np.zeros((N, N))
     bar = (r[:, None] * w).ravel()  # stationary law on (level, component)
 
-    for j in range(m):
-        for k in range(m):
-            if j == k:
-                continue
-            inv = _capped_inverse(chi2_max_discrete(dens[0, j], dens[0, k]))
-            off[idx(0, j), idx(0, k)] = w[0, k] * inv
+    off[:m, :m] = build_simple_projected_chain(w[0], dens[0]).rates
     for i in range(L - 1):
         for j in range(m):
             a, b = idx(i, j), idx(i + 1, j)
@@ -551,23 +551,11 @@ def geodesic_paths(adjacency: np.ndarray) -> CanonicalPathSet:
     n = A.shape[0]
     paths = {}
     for s in range(n):
-        parent = np.full(n, -1, dtype=int)
-        dist = np.full(n, -1, dtype=int)
-        dist[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in np.nonzero(A[x])[0]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(int(y))
+        parent = _bfs_parents(A, s)
         for t in range(n):
             if t == s:
                 continue
-            if dist[t] < 0:
+            if parent[t] < 0:
                 raise ReducibleChainError(
                     f"no path from state {s} to state {t}"
                 )

@@ -323,22 +323,25 @@ class CheckReport:
             "passed": bool(self.passed),
         }
         if self.details:
-            out["details"] = _plain(self.details)
+            out["details"] = _jsonable(self.details)
         return out
 
 
-def _plain(obj):
+def _jsonable(obj):
+    """Plain JSON data: numpy scalars become Python ones, arrays lists, and
+    non-finite floats the strings "inf", "-inf" or "nan"."""
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+        v = float(obj)
+        return v if math.isfinite(v) else repr(v)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     return obj
 

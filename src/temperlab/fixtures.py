@@ -52,6 +52,20 @@ class Fixture:
     D: float
     w_min: float
 
+    @classmethod
+    def from_target(cls, target: MixtureTarget, name: str, description: str) -> "Fixture":
+        """A mixture fixture whose oracle, D and w_min all come from `target`."""
+        return cls(
+            name=name,
+            description=description,
+            kind="mixture",
+            dim=target.dim,
+            oracle=MixtureOracle(target),
+            target=target,
+            D=target.scale_bound(),
+            w_min=target.w_min,
+        )
+
 
 def _mixture_fixture(name, description, weights, centers, sigma, dim) -> Fixture:
     target = MixtureTarget(
@@ -60,16 +74,7 @@ def _mixture_fixture(name, description, weights, centers, sigma, dim) -> Fixture
         base=BaseFunction.isotropic_gaussian(sigma),
         dim=dim,
     )
-    return Fixture(
-        name=name,
-        description=description,
-        kind="mixture",
-        dim=dim,
-        oracle=MixtureOracle(target),
-        target=target,
-        D=target.scale_bound(),
-        w_min=target.w_min,
-    )
+    return Fixture.from_target(target, name, description)
 
 
 def _single_gaussian() -> Fixture:
@@ -211,15 +216,6 @@ def load_fixture_file(path) -> Fixture:
     """Read and validate a JSON fixture description from disk."""
     with open(path) as fh:
         doc = json.load(fh)
-    target = target_from_dict(doc)
-    name = doc.get("name") or str(path)
-    return Fixture(
-        name=name,
-        description=doc.get("description", "user fixture"),
-        kind="mixture",
-        dim=target.dim,
-        oracle=MixtureOracle(target),
-        target=target,
-        D=target.scale_bound(),
-        w_min=target.w_min,
+    return Fixture.from_target(
+        target_from_dict(doc), doc.get("name") or str(path), doc.get("description", "user fixture")
     )

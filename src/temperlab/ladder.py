@@ -84,7 +84,7 @@ class TemperatureLadder:
         if np.any(np.diff(b) <= 0):
             raise ValueError("betas must strictly increase")
         if not self.partial and abs(b[-1] - 1.0) > 1e-12:
-            raise ValueError("the hottest... coldest level must be beta = 1")
+            raise ValueError("the coldest level must have beta = 1")
         if r.shape != b.shape or np.any(r <= 0):
             raise ValueError("rel_probs must be positive, one per level")
         if abs(float(r.sum()) - 1.0) > 1e-12:

@@ -28,7 +28,6 @@ __all__ = [
     "DensityOracle",
     "FunctionOracle",
     "MixtureOracle",
-    "TemperedOracle",
     "Perturbation",
     "PerturbedOracle",
     "AdversarialTwoGaussian",
@@ -37,12 +36,9 @@ __all__ = [
     "mixture_log_density_many",
     "mixture_grad",
     "mixture_softmax_weights",
-    "tempered_oracle",
     "gaussian_log_partition",
     "adversarial_bump_h",
     "adversarial_bump_h_prime",
-    "adversarial_value_grad",
-    "perturbed_oracle",
 ]
 
 
@@ -292,28 +288,6 @@ class MixtureOracle(DensityOracle):
         return mixture_grad(self.target, x)
 
 
-class TemperedOracle(DensityOracle):
-    """(beta * f, beta * grad f) for a wrapped oracle."""
-
-    def __init__(self, base: DensityOracle, beta: float):
-        if beta <= 0:
-            raise ValueError("beta must be > 0")
-        self.base = base
-        self.beta = float(beta)
-        self.dim = base.dim
-
-    def value(self, x) -> float:
-        return self.beta * self.base.value(x)
-
-    def grad(self, x) -> np.ndarray:
-        return self.beta * self.base.grad(x)
-
-
-def tempered_oracle(base: DensityOracle, beta: float) -> TemperedOracle:
-    """Oracle for the tempered density ~ exp(-beta f)."""
-    return TemperedOracle(base, beta)
-
-
 def gaussian_log_partition(target: MixtureTarget, beta: float) -> float:
     """ln Z_beta = ln int exp(-beta f) for isotropic-gaussian bases.
 
@@ -474,11 +448,6 @@ class AdversarialOracle(DensityOracle):
         return self.construction.value_grad(x)[1]
 
 
-def adversarial_value_grad(a: AdversarialTwoGaussian, x) -> tuple[float, np.ndarray]:
-    """Value and gradient of the modified function ftilde at x."""
-    return a.value_grad(x)
-
-
 # ---------------------------------------------------------------------------
 # declared perturbations
 
@@ -523,8 +492,3 @@ class PerturbedOracle(DensityOracle):
     def grad(self, x) -> np.ndarray:
         x = _as_vector(x, self.dim)
         return self.base.grad(x) + np.asarray(self.perturbation.grad(x), dtype=float)
-
-
-def perturbed_oracle(base: DensityOracle, perturbation: Perturbation) -> PerturbedOracle:
-    """Oracle for f + perturbation, keeping the declared (delta, tau) readable."""
-    return PerturbedOracle(base, perturbation)

@@ -207,6 +207,31 @@ def langevin_step(
     return x - eta * g + math.sqrt(2.0 * eta) * noise
 
 
+_NOISE_BLOCK = 4096  # most noise rows per rng call; bounds memory on long segments
+
+
+def _langevin_steps(grad, beta, x, m, h, rng, rec, step0, t0, level, thin) -> np.ndarray:
+    """Advance x by m Euler steps of size h at inverse temperature beta.
+
+    Step j (1-based) lands at time t0 + j*h and is recorded when the global
+    step index step0 + j is a multiple of thin.  Noise rows come in blocks;
+    bitwise the same stream as one draw per step, so a langevin_step replay
+    reproduces the trajectory exactly.
+    """
+    c = math.sqrt(2.0 * h)
+    for b in range(0, m, _NOISE_BLOCK):
+        noise = rng.normal((min(_NOISE_BLOCK, m - b), x.size))
+        for i, xi in enumerate(noise):
+            g = beta * grad(x)
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradient(x)
+            x = x - h * g + c * xi
+            j = b + i + 1
+            if (step0 + j) % thin == 0:
+                rec.append(step0 + j, t0 + j * h, level, x)
+    return x
+
+
 def run_plain_langevin(
     oracle: DensityOracle,
     beta: float,
@@ -234,22 +259,9 @@ def run_plain_langevin(
         x = x.reshape(1)
     rec = _RecordBuilder(x.size)
     rec.append(0, 0.0, 1, x)
-    grad = oracle.grad
-    c = math.sqrt(2.0 * eta)
-    done = 0
-    # noise rows drawn in batches; bitwise the same stream as one draw per
-    # step, so a langevin_step replay reproduces this trajectory exactly
-    while done < num_steps:
-        block = min(4096, num_steps - done)
-        noise = rng.normal((block, x.size))
-        for j in range(block):
-            g = beta * grad(x)
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(x)
-            x = x - eta * g + c * noise[j]
-            done += 1
-            if done % thin == 0 or done == num_steps:
-                rec.append(done, done * eta, 1, x)
+    x = _langevin_steps(oracle.grad, beta, x, num_steps, eta, rng, rec, 0, 0.0, 1, thin)
+    if num_steps % thin:
+        rec.append(num_steps, num_steps * eta, 1, x)
     return rec.finish(
         final_state=TemperingState(level=1, position=x),
         num_levels=1,
@@ -364,7 +376,6 @@ def run_stlmc(
         raise ValueError("target_level out of range")
 
     dim = oracle.dim
-    grad = oracle.grad
     x = params.init_std * rng.normal(dim)
     level = 1
     stats = SwapStats()
@@ -381,18 +392,8 @@ def run_stlmc(
         if seg > 0:
             m, h = substep_schedule(seg, eta)
             beta = float(ladder.betas[level - 1])
-            c = math.sqrt(2.0 * h)
-            # one batched draw per segment; bitwise identical to per-step
-            # draws, so langevin_step replays match exactly
-            noise = rng.normal((m, dim))
-            for j in range(m):
-                g = beta * grad(x)
-                if not np.all(np.isfinite(g)):
-                    raise NonFiniteGradient(x)
-                x = x - h * g + c * noise[j]
-                step += 1
-                if step % thin == 0:
-                    rec.append(step, seg_start + (j + 1) * h, level, x)
+            x = _langevin_steps(oracle.grad, beta, x, m, h, rng, rec, step, seg_start, level, thin)
+            step += m
         seg_start = seg_end
         if k < events.size:
             state = swap_attempt(

@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from temperlab.cli import main
+from temperlab.cli import _fixture_from_config, _ladder_for, main
 from temperlab.fixtures import builtin_fixture_names, get_fixture
+from temperlab.ladder import ScheduleConstants, build_ladder_logconcave
 
 EXPECTED_FIXTURES = (
     "single-gaussian",
@@ -133,6 +134,18 @@ class TestConfigValidation:
         assert "fixture/" in err
 
 
+
+def test_quadratic_form_fixture_gets_the_logconcave_schedule():
+    doc = sample_config()
+    doc["fixture"] = {**TINY_MIXTURE, "base": {"kind": "quadratic-form", "H": [[25.0]]}}
+    fixture = _fixture_from_config(doc)
+    ladder, _ = _ladder_for(fixture, doc)
+    expected, _ = build_ladder_logconcave(
+        1, D=fixture.D, kappa=25.0, K=25.0, w_min=0.5, target_accuracy=0.1,
+        constants=ScheduleConstants(c_samples=0.05),
+    )
+    np.testing.assert_array_equal(ladder.betas, expected.betas)
+
 class TestVerifyDecompositionMode:
     def config(self, seed=5):
         return {
@@ -177,6 +190,18 @@ class TestVerifyDecompositionMode:
                          "--out", str(out)]) == 0
             digests.append(read_manifest(out)["digest"])
         assert digests[0] == digests[1]
+
+    def test_rerun_with_fewer_instances_drops_stale_files(self, tmp_path):
+        out = tmp_path / "dec"
+        cfg = write_config(tmp_path, self.config(), "big.json")
+        assert main(["--config", cfg, "--mode", "verify-decomposition", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("not written by the CLI\n")
+        small = {**self.config(), "verify": {"num_simple": 1, "num_tempering": 1}}
+        cfg = write_config(tmp_path, small, "small.json")
+        assert main(["--config", cfg, "--mode", "verify-decomposition", "--out", str(out)]) == 0
+        listed = {e["path"] for e in read_manifest(out)["files"]}
+        assert listed == {"simple_000.json", "tempering_000.json", "decomposition_summary.csv"}
+        assert {p.name for p in out.iterdir()} == listed | {"manifest.json", "notes.txt"}
 
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, self.config(seed=8))

@@ -12,6 +12,7 @@ import pytest
 
 from temperlab import (
     INFINITY,
+    CheckReport,
     CoverageError,
     NormalizationError,
     QuadratureGrid,
@@ -282,6 +283,21 @@ def test_temp_scaling_report_no_violations():
     payload = json.dumps(report.to_dict())
     assert "temp-scaling" in payload
 
+
+
+def test_report_details_serialize_as_plain_json():
+    report = CheckReport(
+        check="demo",
+        num_cases=1,
+        violations=0,
+        worst_margin=0.0,
+        passed=True,
+        details={"flag": True, "bound": np.float64(np.inf), "values": np.arange(3.0)},
+    )
+    details = json.loads(json.dumps(report.to_dict()))["details"]
+    assert details["flag"] is True
+    assert details["bound"] == "inf"
+    assert details["values"] == [0.0, 1.0, 2.0]
 
 def test_temp_scaling_rejects_bad_beta():
     fx = get_fixture("two-mode-symmetric")

@@ -19,6 +19,7 @@ from temperlab import (
     MixtureTarget,
     PartitionUnavailable,
     Perturbation,
+    PerturbedOracle,
     adversarial_bump_h,
     adversarial_bump_h_prime,
     builtin_fixture_names,
@@ -28,8 +29,6 @@ from temperlab import (
     mixture_log_density,
     mixture_log_density_many,
     mixture_softmax_weights,
-    perturbed_oracle,
-    tempered_oracle,
 )
 
 
@@ -244,16 +243,6 @@ class TestMixtureTargetValidation:
             fx.oracle.value(np.zeros(2))
 
 
-def test_tempered_oracle_scales_value_and_grad():
-    fx = get_fixture("single-gaussian")
-    hot = tempered_oracle(fx.oracle, 0.25)
-    x = np.array([2.0])
-    assert abs(hot.value(x) - 0.25 * fx.oracle.value(x)) < 1e-14
-    np.testing.assert_allclose(hot.grad(x), 0.25 * fx.oracle.grad(x), rtol=1e-14)
-    with pytest.raises(ValueError):
-        tempered_oracle(fx.oracle, 0.0)
-
-
 class TestGaussianLogPartition:
     def test_single_component_vs_quadrature(self):
         # ln integral e^{-beta ||x||^2 / (2 s^2)} dx, computed by trapezoid
@@ -364,7 +353,7 @@ class TestPerturbedOracle:
             delta=0.2,
             tau=0.2,
         )
-        po = perturbed_oracle(fx.oracle, pert)
+        po = PerturbedOracle(fx.oracle, pert)
         x = np.array([1.1])
         assert abs(po.value(x) - (fx.oracle.value(x) + 0.2 * math.sin(1.1))) < 1e-14
         assert abs(po.delta - 0.2) < 1e-15

@@ -461,6 +461,71 @@ def test_no_swaps_reduces_to_plain_langevin():
     assert np.all(rec.levels == 1)
 
 
+
+def _replay_steps(oracle, beta, x, m, h, rng, thin):
+    """m langevin_step calls from x: final x plus the rows every thin-th step."""
+    steps, times, xs = [0], [0.0], [x.copy()]
+    for j in range(1, m + 1):
+        x = langevin_step(oracle, beta, x, h, rng)
+        if j % thin == 0:
+            steps.append(j)
+            times.append(j * h)
+            xs.append(x.copy())
+    return x, steps, times, xs
+
+
+def test_long_segment_replays_across_noise_blocks():
+    # one segment of more than 4096 steps spans two noise blocks
+    fx = get_fixture("single-gaussian")
+    ladder = TemperatureLadder(
+        betas=np.array([1.0]),
+        rel_probs=np.array([1.0]),
+        partition_estimates=np.array([1.0]),
+        ratio_bound=2.0,
+    )
+    params = RunParams(
+        swap_rate=1e-12,
+        step_size=0.01,
+        total_time=45.0,
+        init_std=1.0,
+        target_accuracy=0.5,
+        constants=ScheduleConstants(),
+    )
+    seed = 12
+    rec = run_stlmc(fx.oracle, ladder, params, RngStream(seed), thin=3)
+
+    rng = RngStream(seed)
+    x = params.init_std * rng.normal(1)
+    assert draw_swap_times(rng, params.swap_rate, params.total_time).size == 0
+    m, h = substep_schedule(params.total_time, params.step_size)
+    assert m > 4096
+    x, steps, times, xs = _replay_steps(fx.oracle, 1.0, x, m, h, rng, thin=3)
+    steps.append(m)
+    times.append(params.total_time)
+    xs.append(x)
+    np.testing.assert_array_equal(rec.steps, steps)
+    np.testing.assert_array_equal(rec.times, times)
+    np.testing.assert_array_equal(rec.levels, np.ones(len(steps)))
+    np.testing.assert_array_equal(rec.positions, np.array(xs))
+    assert rec.total_steps == m
+
+
+def test_plain_langevin_replays_across_noise_blocks():
+    fx = get_fixture("two-mode-symmetric")
+    n, thin, eta = 9001, 7, 0.02
+    rec = run_plain_langevin(fx.oracle, 1.0, eta, n, np.array([5.0]), RngStream(7), thin=thin)
+
+    x, steps, times, xs = _replay_steps(fx.oracle, 1.0, np.array([5.0]), n, eta, RngStream(7), thin)
+    assert n % thin  # the last step is off the thinning grid, so it is added
+    steps.append(n)
+    times.append(n * eta)
+    xs.append(x)
+    np.testing.assert_array_equal(rec.steps, steps)
+    np.testing.assert_array_equal(rec.times, times)
+    np.testing.assert_array_equal(rec.levels, np.ones(len(steps)))
+    np.testing.assert_array_equal(rec.positions, np.array(xs))
+    np.testing.assert_array_equal(rec.final_state.position, x)
+
 def test_single_level_long_run_moments():
     # standard Gaussian target at beta = 1; the run is plain Langevin plus
     # out-of-bounds level proposals that change nothing
