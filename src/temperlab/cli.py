@@ -46,7 +46,7 @@ from .fixtures import (
     get_fixture,
     target_from_dict,
 )
-from .ladder import ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
+from .ladder import RunParams, ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
 from .sampler import RngStream, run_main, run_plain_langevin, run_stlmc
 
 __all__ = ["main"]
@@ -130,6 +130,23 @@ def _fixture_from_config(config: dict) -> Fixture:
     )
 
 
+# Most Langevin steps one staged or long run may take.  The default schedule
+# constants ask for 1e11-1e24 steps per staged run on the built-in fixtures.
+MAX_RUN_STEPS = 1e9
+
+
+def _run_params(params: RunParams, total_time: float, run: str, shorten: str) -> RunParams:
+    """params for a run of total_time, refused before sampling if it is too long."""
+    steps = total_time / params.step_size
+    if steps > MAX_RUN_STEPS:
+        raise ConfigError(
+            f"{run} would take {steps:.3g} Langevin steps (total time {total_time:.6g} / "
+            f"step size {params.step_size:.6g}), more than {MAX_RUN_STEPS:.0e}; raise "
+            f"schedule.c_step or overrides.step_size, or lower {shorten}"
+        )
+    return replace(params, total_time=total_time)
+
+
 def _schedule_constants(config: dict) -> ScheduleConstants:
     return ScheduleConstants(**config.get("schedule", {}))
 
@@ -138,7 +155,7 @@ def _ladder_for(fixture: Fixture, config: dict):
     common = dict(w_min=fixture.w_min, target_accuracy=config.get("target_accuracy", 0.1),
                   constants=_schedule_constants(config))
     base = fixture.target.base if fixture.target is not None else None
-    if base is not None and base.kind == "quadratic-form":
+    if base is not None and not base.isotropic:
         ladder, params = build_ladder_logconcave(
             fixture.dim, D=fixture.D, kappa=base.kappa, K=base.K, **common
         )
@@ -148,16 +165,10 @@ def _ladder_for(fixture: Fixture, config: dict):
         ladder, params = build_ladder_gaussian(
             fixture.dim, D=max(fixture.D, sigma), sigma=sigma, **common
         )
-    ov = config.get("overrides", {})
-    if ov:
-        params = replace(
-            params,
-            swap_rate=ov.get("swap_rate", params.swap_rate),
-            step_size=ov.get("step_size", params.step_size),
-            total_time=ov.get("total_time", params.total_time),
-            init_std=ov.get("init_std", params.init_std),
-        )
-    return ladder, params
+    # the schema limits overrides to swap_rate, step_size, total_time and init_std
+    params = replace(params, **config.get("overrides", {}))
+    shorten = "schedule.c_time or overrides.total_time"
+    return ladder, _run_params(params, params.total_time, "a staged run", shorten)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +181,14 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
     sample_cfg = config.get("sample", {})
     thin = sample_cfg.get("thin", 10)
     confidence = sample_cfg.get("confidence", 0.05)
+    main_time = sample_cfg.get("main_time", params.total_time)
+    long_params = _run_params(params, main_time, "the long run", "sample.main_time")
     rng = RngStream(config["seed"])
 
     staged = run_main(
         fixture.oracle, ladder, params, rng, confidence=confidence, num_final_samples=1
     )
     full = ladder.with_partition_estimates(staged.zhat)
-    main_time = sample_cfg.get("main_time", params.total_time)
-    long_params = replace(params, total_time=main_time)
     rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
     samples = rec.positions_at_level(ladder.num_levels)
 
@@ -455,11 +466,12 @@ def _mode_baseline_compare(config: dict, out_dir: Path) -> bool:
     ladder, params = _ladder_for(fixture, config)
     b = config.get("baseline", {})
     thin = b.get("thin", 1)
+    main_time = b.get("main_time", params.total_time)
+    long_params = _run_params(params, main_time, "the long run", "baseline.main_time")
     rng = RngStream(config["seed"])
 
     staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)
     full = ladder.with_partition_estimates(staged.zhat)
-    long_params = replace(params, total_time=b.get("main_time", params.total_time))
     rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
     samples = rec.positions_at_level(ladder.num_levels)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import MixtureTarget
+from .oracles import MixtureTarget, _component_energies
 
 __all__ = [
     "HistogramEstimate",
@@ -47,20 +47,13 @@ def _gaussian_density(target: MixtureTarget):
     d = target.dim
     if d > 2:
         raise ValueError("binned TV masses are implemented for d <= 2")
-    if target.base.kind == "isotropic-gaussian":
-        cov = target.base.sigma**2 * np.eye(d)
-    else:
-        cov = np.linalg.inv(target.base.H)
-    prec = np.linalg.inv(cov)
-    norm = 1.0 / math.sqrt((2.0 * math.pi) ** d * float(np.linalg.det(cov)))
-    C = target.centers
+    # 1 / integral of exp(-f0) for f0(z) = z . P z / 2
+    P = np.dot(target.base.precision, np.eye(d))
+    norm = math.sqrt(float(np.linalg.det(P)) / (2.0 * math.pi) ** d)
     w = target.weights
 
     def density(pts):
-        pts = np.asarray(pts, dtype=float).reshape(-1, d)
-        diff = pts[:, None, :] - C[None, :, :]
-        z = 0.5 * np.einsum("kjd,de,kje->kj", diff, prec, diff)
-        return (np.exp(-z) * w[None, :]).sum(axis=1) * norm
+        return (np.exp(-_component_energies(target, pts)) * w[None, :]).sum(axis=1) * norm
 
     return density
 

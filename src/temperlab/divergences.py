@@ -18,7 +18,9 @@ import numpy as np
 
 from .oracles import (
     MixtureTarget,
+    _component_energies,
     _logsumexp,
+    _logsumexp_rows,
     mixture_log_density_many,
 )
 
@@ -365,40 +367,30 @@ def check_temp_scaling_bounds(
     betas = np.asarray(betas, dtype=float).reshape(-1)
     if np.any(betas <= 0) or np.any(betas > 1.0 + 1e-15):
         raise ValueError("the sandwich holds for beta in (0, 1] only")
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.shape[1] != target.dim:
-        raise ValueError("probe points have the wrong dimension")
     log_w = np.log(target.weights)
     log_wmin = math.log(target.w_min)
 
     worst = math.inf
     violations = 0
     cases = 0
-    base_vals = np.stack(
-        [target.base.value_many(X - target.centers[j]) for j in range(target.m)],
-        axis=1,
-    )  # (n, m)
-    f_mix = mixture_log_density_many(target, X)  # (n,)
+    base_vals = _component_energies(target, points)  # (n, m)
+    f_mix = -_logsumexp_rows(log_w[None, :] - base_vals)  # the mixture's f, (n,)
     for beta in betas:
         log_g = -beta * f_mix
-        a = log_w[None, :] - beta * base_vals
-        mx = a.max(axis=1)
-        log_gt = mx + np.log(np.sum(np.exp(a - mx[:, None]), axis=1))
+        log_gt = _logsumexp_rows(log_w[None, :] - beta * base_vals)
         lower = log_g - log_gt
         upper = (log_gt - log_wmin) - log_g
         m = float(min(lower.min(), upper.min()))
         worst = min(worst, m)
         violations += int(np.sum(lower < -slack) + np.sum(upper < -slack))
-        cases += 2 * X.shape[0]
+        cases += 2 * len(base_vals)
     return CheckReport(
         check="temp-scaling-sandwich",
         num_cases=cases,
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,
-        details={"betas": betas, "num_points": X.shape[0]},
+        details={"betas": betas, "num_points": len(base_vals)},
     )
 
 
@@ -433,7 +425,7 @@ def check_partition_ratio_bound(
     d = target.dim
     D = target.scale_bound()
     wm = target.w_min
-    if target.base.kind == "isotropic-gaussian":
+    if target.base.isotropic:
         s = target.base.sigma
         reach = D / s + (math.sqrt(d) + 2.0 * math.sqrt(math.log(2.0 / wm))) / math.sqrt(alpha)
         log_lower = math.log(0.5) - 2.0 * (beta - alpha) * reach**2

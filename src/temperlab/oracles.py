@@ -58,6 +58,12 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(a - m))))
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum_j exp(a_ij) for each row i of a, shape (n, m) -> (n,)."""
+    mx = a.max(axis=1)
+    return mx + np.log(np.sum(np.exp(a - mx[:, None]), axis=1))
+
+
 def _as_vector(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -71,59 +77,55 @@ def _as_vector(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BaseFunction:
-    """Strongly-convex base function f0 with minimum f0(0) = 0.
+    """Strongly-convex quadratic base f0(z) = z . P z / 2, so f0(0) = 0.
 
-    kinds:
-      "isotropic-gaussian": f0(z) = |z|^2 / (2 sigma^2); kappa = K = 1/sigma^2.
-      "quadratic-form":     f0(z) = z . H z / 2 with kappa*I <= H <= K*I.
+    The precision P is a scalar 1/sigma^2 (an isotropic Gaussian) or a
+    symmetric matrix H, with kappa*I <= P <= K*I.  Build one with
+    isotropic_gaussian(sigma) or quadratic_form(H, kappa, K); they validate.
     """
 
-    kind: str
-    sigma: float | None = None
-    kappa: float | None = None
-    K: float | None = None
-    H: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == "isotropic-gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("isotropic-gaussian base needs sigma > 0")
-            k = 1.0 / self.sigma**2
-            object.__setattr__(self, "kappa", k)
-            object.__setattr__(self, "K", k)
-        elif self.kind == "quadratic-form":
-            if self.H is None:
-                raise ValueError("quadratic-form base needs the matrix H")
-            H = np.asarray(self.H, dtype=float)
-            if H.ndim != 2 or H.shape[0] != H.shape[1]:
-                raise ValueError("H must be a square matrix")
-            if not np.allclose(H, H.T, atol=1e-12):
-                raise ValueError("H must be symmetric")
-            object.__setattr__(self, "H", H)
-            evals = np.linalg.eigvalsh(H)
-            lo, hi = float(evals[0]), float(evals[-1])
-            if lo <= 0:
-                raise ValueError("H must be positive definite")
-            kap = self.kappa if self.kappa is not None else lo
-            big = self.K if self.K is not None else hi
-            # the declared envelope must actually contain the spectrum
-            if lo < kap - 1e-12 or hi > big + 1e-12:
-                raise ValueError(
-                    f"eigenvalues of H in [{lo:.6g}, {hi:.6g}] escape the "
-                    f"declared envelope [kappa={kap:.6g}, K={big:.6g}]"
-                )
-            object.__setattr__(self, "kappa", float(kap))
-            object.__setattr__(self, "K", float(big))
-        else:
-            raise ValueError(f"unknown base kind {self.kind!r}")
+    precision: float | np.ndarray
+    kappa: float
+    K: float
 
     @staticmethod
     def isotropic_gaussian(sigma: float) -> "BaseFunction":
-        return BaseFunction(kind="isotropic-gaussian", sigma=float(sigma))
+        sigma = float(sigma)
+        if sigma <= 0:
+            raise ValueError("isotropic-gaussian base needs sigma > 0")
+        k = 1.0 / sigma**2
+        return BaseFunction(precision=k, kappa=k, K=k)
 
     @staticmethod
     def quadratic_form(H, kappa: float | None = None, K: float | None = None) -> "BaseFunction":
-        return BaseFunction(kind="quadratic-form", H=np.asarray(H, dtype=float), kappa=kappa, K=K)
+        H = np.asarray(H, dtype=float)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError("H must be a square matrix")
+        if not np.allclose(H, H.T, atol=1e-12):
+            raise ValueError("H must be symmetric")
+        evals = np.linalg.eigvalsh(H)
+        lo, hi = float(evals[0]), float(evals[-1])
+        if lo <= 0:
+            raise ValueError("H must be positive definite")
+        kap = kappa if kappa is not None else lo
+        big = K if K is not None else hi
+        # the declared envelope must actually contain the spectrum
+        if lo < kap - 1e-12 or hi > big + 1e-12:
+            raise ValueError(
+                f"eigenvalues of H in [{lo:.6g}, {hi:.6g}] escape the "
+                f"declared envelope [kappa={kap:.6g}, K={big:.6g}]"
+            )
+        return BaseFunction(precision=H, kappa=float(kap), K=float(big))
+
+    @property
+    def isotropic(self) -> bool:
+        """True when the precision is a scalar, P = I/sigma^2."""
+        return np.ndim(self.precision) == 0
+
+    @property
+    def sigma(self) -> float | None:
+        """Standard deviation of an isotropic base; None for a matrix precision."""
+        return 1.0 / math.sqrt(self.precision) if self.isotropic else None
 
     @property
     def sigma_equiv(self) -> float:
@@ -131,25 +133,17 @@ class BaseFunction:
         return 1.0 / math.sqrt(self.kappa)
 
     def value(self, z: np.ndarray) -> float:
-        if self.kind == "isotropic-gaussian":
-            return 0.5 * float(z @ z) / self.sigma**2
-        return 0.5 * float(z @ self.H @ z)
+        return 0.5 * float(np.dot(np.dot(z, self.precision), z))
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "isotropic-gaussian":
-            return z / self.sigma**2
-        return self.H @ z
+        return np.dot(self.precision, z)
 
     def value_many(self, Z: np.ndarray) -> np.ndarray:
         """Values on rows of Z, shape (n, d) -> (n,)."""
-        if self.kind == "isotropic-gaussian":
-            return 0.5 * np.einsum("ij,ij->i", Z, Z) / self.sigma**2
-        return 0.5 * np.einsum("ij,jk,ik->i", Z, self.H, Z)
+        return 0.5 * np.einsum("ij,ij->i", np.dot(Z, self.precision), Z)
 
     def grad_many(self, Z: np.ndarray) -> np.ndarray:
-        if self.kind == "isotropic-gaussian":
-            return Z / self.sigma**2
-        return Z @ self.H
+        return np.dot(Z, self.precision)
 
 
 @dataclass(eq=False)
@@ -176,7 +170,7 @@ class MixtureTarget:
             raise DimensionMismatch(
                 f"centers must have shape ({w.size}, {self.dim}), got {c.shape}"
             )
-        if self.base.kind == "quadratic-form" and self.base.H.shape[0] != self.dim:
+        if np.shape(self.base.precision) not in ((), (self.dim, self.dim)):
             raise DimensionMismatch("H dimension disagrees with target dim")
         self.weights = w
         self.centers = c
@@ -200,6 +194,18 @@ class MixtureTarget:
         return max(self.center_norm_bound, self.base.sigma_equiv)
 
 
+def _component_energies(target: MixtureTarget, X) -> np.ndarray:
+    """f0(x_i - mu_j) for rows x_i of X, shape (n, d) -> (n, m); (n,) reads as d = 1."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    if X.shape[1] != target.dim:
+        raise DimensionMismatch(f"expected points of dimension {target.dim}")
+    n, (m, d) = X.shape[0], target.centers.shape
+    diffs = X[:, None, :] - target.centers[None, :, :]
+    return target.base.value_many(diffs.reshape(n * m, d)).reshape(n, m)
+
+
 def mixture_log_density(target: MixtureTarget, x) -> float:
     """f(x) = -log sum_j w_j exp(-f0(x - mu_j)), log-sum-exp stabilized."""
     x = _as_vector(x, target.dim)
@@ -209,17 +215,7 @@ def mixture_log_density(target: MixtureTarget, x) -> float:
 
 def mixture_log_density_many(target: MixtureTarget, X: np.ndarray) -> np.ndarray:
     """f on rows of X, shape (n, d) -> (n,).  Batch twin of mixture_log_density."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.shape[1] != target.dim:
-        raise DimensionMismatch(f"expected points of dimension {target.dim}")
-    # exponents (n, m): log w_j - f0(x_i - mu_j)
-    a = np.empty((X.shape[0], target.m))
-    for j in range(target.m):
-        a[:, j] = target._log_w[j] - target.base.value_many(X - target.centers[j])
-    mx = a.max(axis=1)
-    return -(mx + np.log(np.sum(np.exp(a - mx[:, None]), axis=1)))
+    return -_logsumexp_rows(target._log_w - _component_energies(target, X))
 
 
 def mixture_softmax_weights(target: MixtureTarget, x) -> np.ndarray:
@@ -296,15 +292,12 @@ def gaussian_log_partition(target: MixtureTarget, beta: float) -> float:
     form; integrate numerically with a quadrature grid from the divergences
     module instead.
     """
-    if target.base.kind != "isotropic-gaussian":
+    if not target.base.isotropic:
         raise PartitionUnavailable("closed form only for isotropic-gaussian bases")
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    s2 = target.base.sigma**2
-    if target.m == 1:
-        return 0.5 * target.dim * math.log(2.0 * math.pi * s2 / beta)
-    if beta == 1.0:
-        return 0.5 * target.dim * math.log(2.0 * math.pi * s2)
+    if target.m == 1 or beta == 1.0:
+        return 0.5 * target.dim * math.log(2.0 * math.pi * target.base.sigma**2 / beta)
     raise PartitionUnavailable(
         "tempered multi-component mixtures have no closed-form partition value; "
         "use numeric quadrature (divergences.QuadratureGrid)"

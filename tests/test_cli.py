@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,30 @@ class TestConfigValidation:
     def test_flags_are_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("mode", ["sample", "baseline-compare"])
+    def test_default_schedule_is_refused_before_sampling(self, tmp_path, capsys, mode):
+        # the default constants ask for ~4e16 steps per staged run here
+        cfg = write_config(tmp_path, {"version": 1, "seed": 1, "fixture": "two-mode-symmetric"})
+        start = time.perf_counter()
+        code = main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        for key in ("schedule.c_step", "schedule.c_time", "overrides.step_size",
+                    "overrides.total_time"):
+            assert key in err
+
+    @pytest.mark.parametrize("mode, block", [("sample", "sample"), ("baseline-compare", "baseline")])
+    def test_overlong_main_run_is_refused(self, tmp_path, capsys, mode, block):
+        doc = {k: v for k, v in sample_config().items() if k != "sample"}
+        doc[block] = {"main_time": 1e9}  # 2e10 steps at step_size 0.05
+        cfg = write_config(tmp_path, doc)
+        code = main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{block}.main_time" in err and "overrides.step_size" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_inline_fixture_field_error_names_the_field(self, tmp_path, capsys):
         doc = dict(sample_config())

@@ -108,6 +108,18 @@ class TestEmpiricalTV:
         tv, _ = empirical_tv(samples, target, bins=30)
         assert tv < 0.10
 
+    def test_matrix_base_exact_masses_are_normalized(self):
+        # det H = 1.75, so a normalizer that drops or misreads det(H) shows here
+        target = MixtureTarget(
+            weights=np.array([0.4, 0.6]),
+            centers=np.array([[-2.0, 1.0], [2.0, -0.5]]),
+            base=BaseFunction.quadratic_form(np.array([[2.0, 0.5], [0.5, 1.0]])),
+            dim=2,
+        )
+        _, hist = empirical_tv(np.zeros((10, 2)), target, bins=30)
+        assert hist.exact.sum() + hist.exact_out == pytest.approx(1.0, abs=1e-9)
+        assert hist.exact_out < 1e-6
+
     def test_three_dimensional_target_rejected(self):
         target = MixtureTarget(
             weights=np.array([1.0]),

@@ -209,6 +209,24 @@ class TestBaseFunction:
         with pytest.raises(ValueError):
             BaseFunction.quadratic_form(H, kappa=2.0, K=4.0)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_isotropic_is_the_quadratic_form_of_identity_over_sigma2(self, sigma, d):
+        iso = BaseFunction.isotropic_gaussian(sigma)
+        quad = BaseFunction.quadratic_form(np.eye(d) / sigma**2)
+        assert iso.isotropic and not quad.isotropic
+        assert iso.sigma == pytest.approx(sigma, rel=1e-15) and quad.sigma is None
+        assert (iso.kappa, iso.K) == pytest.approx((quad.kappa, quad.K), rel=1e-14)
+        Z = np.random.default_rng(d).standard_normal((9, d))
+        for z in Z:
+            assert iso.value(z) == pytest.approx(quad.value(z), rel=1e-14)
+            np.testing.assert_allclose(iso.grad(z), quad.grad(z), rtol=1e-14)
+        np.testing.assert_allclose(iso.value_many(Z), quad.value_many(Z), rtol=1e-14)
+        np.testing.assert_allclose(iso.grad_many(Z), quad.grad_many(Z), rtol=1e-14)
+
+    def test_unit_sigma_reads_back_exactly(self):
+        assert BaseFunction.isotropic_gaussian(1.0).sigma == 1.0
+
     def test_sigma_equiv(self):
         base = BaseFunction.isotropic_gaussian(0.5)
         assert abs(base.sigma_equiv - 0.5) < 1e-15
@@ -232,6 +250,16 @@ class TestMixtureTargetValidation:
         with pytest.raises(DimensionMismatch):
             MixtureTarget(
                 dim=2,
+                weights=np.array([1.0]),
+                centers=np.zeros((1, 3)),
+                base=base,
+            )
+
+    def test_base_dimension_checked(self):
+        base = BaseFunction.quadratic_form(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            MixtureTarget(
+                dim=3,
                 weights=np.array([1.0]),
                 centers=np.zeros((1, 3)),
                 base=base,
