@@ -135,16 +135,25 @@ def _fixture_from_config(config: dict) -> Fixture:
 MAX_RUN_STEPS = 1e9
 
 
-def _run_params(params: RunParams, total_time: float, run: str, shorten: str) -> RunParams:
-    """params for a run of total_time, refused before sampling if it is too long."""
-    steps = total_time / params.step_size
+def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunParams:
+    """params with `changes`, refused before sampling unless the run takes
+    between one and MAX_RUN_STEPS Langevin steps.  time_key names the
+    config setting that sets the run's total time."""
+    step_size = changes.get("step_size", params.step_size)
+    total_time = changes.get("total_time", params.total_time)
+    if step_size > total_time:
+        raise ConfigError(
+            f"{run} is shorter than one Langevin step (total time {total_time:.6g} < "
+            f"step size {step_size:.6g}); lower overrides.step_size or raise {time_key}"
+        )
+    steps = total_time / step_size
     if steps > MAX_RUN_STEPS:
         raise ConfigError(
             f"{run} would take {steps:.3g} Langevin steps (total time {total_time:.6g} / "
-            f"step size {params.step_size:.6g}), more than {MAX_RUN_STEPS:.0e}; raise "
-            f"schedule.c_step or overrides.step_size, or lower {shorten}"
+            f"step size {step_size:.6g}), more than {MAX_RUN_STEPS:.0e}; raise "
+            f"schedule.c_step or overrides.step_size, or lower {time_key}"
         )
-    return replace(params, total_time=total_time)
+    return replace(params, **changes)
 
 
 def _schedule_constants(config: dict) -> ScheduleConstants:
@@ -166,9 +175,8 @@ def _ladder_for(fixture: Fixture, config: dict):
             fixture.dim, D=max(fixture.D, sigma), sigma=sigma, **common
         )
     # the schema limits overrides to swap_rate, step_size, total_time and init_std
-    params = replace(params, **config.get("overrides", {}))
-    shorten = "schedule.c_time or overrides.total_time"
-    return ladder, _run_params(params, params.total_time, "a staged run", shorten)
+    time_key = "schedule.c_time or overrides.total_time"
+    return ladder, _run_params(params, "a staged run", time_key, **config.get("overrides", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +190,7 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
     thin = sample_cfg.get("thin", 10)
     confidence = sample_cfg.get("confidence", 0.05)
     main_time = sample_cfg.get("main_time", params.total_time)
-    long_params = _run_params(params, main_time, "the long run", "sample.main_time")
+    long_params = _run_params(params, "the long run", "sample.main_time", total_time=main_time)
     rng = RngStream(config["seed"])
 
     staged = run_main(
@@ -467,7 +475,7 @@ def _mode_baseline_compare(config: dict, out_dir: Path) -> bool:
     b = config.get("baseline", {})
     thin = b.get("thin", 1)
     main_time = b.get("main_time", params.total_time)
-    long_params = _run_params(params, main_time, "the long run", "baseline.main_time")
+    long_params = _run_params(params, "the long run", "baseline.main_time", total_time=main_time)
     rng = RngStream(config["seed"])
 
     staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)

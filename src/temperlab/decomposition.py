@@ -8,6 +8,11 @@ decomposes exactly, compute the true Poincare constant by brute force, and
 compare it against the bound assembled from component constants plus a tiny
 projected chain.
 
+Every chain is built from its stationary flows pi(x) Q(x, y), the terms of
+its Dirichlet form: a builder writes each pair's flow once on both sides of
+the diagonal and divides by pi, so FiniteMarkovProcess's reversibility check
+is the only one there is.
+
 Discrete sums replace integrals throughout; the quadrature twins of the
 divergences live in divergences.py and are deliberately not reused here, so
 the two routes stay independent.
@@ -19,9 +24,11 @@ import hashlib
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from .divergences import _jsonable
 
 __all__ = [
     "MAX_STATES",
@@ -37,9 +44,7 @@ __all__ = [
     "chi2_discrete",
     "chi2_max_discrete",
     "overlap_discrete",
-    "TemperingChain",
     "build_tempering_chain",
-    "ProjectedChain",
     "build_projected_chain",
     "CanonicalPathSet",
     "geodesic_paths",
@@ -58,6 +63,9 @@ MAX_STATES = 512
 # stands in for an infinite move rate when two components coincide exactly
 RATE_CAP = 1e12
 INFINITY = float("inf")
+# random probes of the Dirichlet decomposition identity, drawn from a fixed seed
+_NUM_PROBES = 20
+_PROBE_SEED = 0
 
 
 class ReducibleChainError(RuntimeError):
@@ -173,6 +181,12 @@ def discretize_density(
     return FiniteMarkovProcess.from_offdiag(off, pi)
 
 
+def _flows(proc: FiniteMarkovProcess) -> np.ndarray:
+    """Stationary flows pi(x) Q(x, y), each pair read once above the diagonal."""
+    upper = np.triu(proc.stationary[:, None] * proc.rates, 1)
+    return upper + upper.T
+
+
 def mixture_chain(
     components: list,
     weights,
@@ -193,14 +207,8 @@ def mixture_chain(
     if any(c.num_states != n for c in components):
         raise ValueError("components must share one state space")
     pi = sum(wj * c.stationary for wj, c in zip(w, components))
-    flow = np.zeros((n, n))
-    for wj, c in zip(w, components):
-        off = c.rates.copy()
-        np.fill_diagonal(off, 0.0)
-        flow += wj * (c.stationary[:, None] * off)
-    flow = 0.5 * (flow + flow.T)  # symmetric up to rounding already
-    off = flow / pi[:, None]
-    return FiniteMarkovProcess.from_offdiag(off, pi)
+    flow = sum(wj * _flows(c) for wj, c in zip(w, components))
+    return FiniteMarkovProcess.from_offdiag(flow / pi[:, None], pi)
 
 
 def variance(proc: FiniteMarkovProcess, g: np.ndarray) -> float:
@@ -312,44 +320,19 @@ def overlap_discrete(p: np.ndarray, q: np.ndarray, scale: float = 1.0) -> float:
 # tempering chain on level x position states
 
 
-@dataclass(frozen=True)
-class TemperingChain:
-    """Joint chain on (level, position) with adjacent-level exchange moves."""
-
-    process: FiniteMarkovProcess
-    level_processes: tuple
-    rel_probs: np.ndarray
-    swap_rate: float
-    num_positions: int
-
-    @property
-    def num_levels(self) -> int:
-        return self.rel_probs.size
-
-    def flat_index(self, level: int, position: int) -> int:
-        if not 1 <= level <= self.num_levels:
-            raise ValueError("level out of range")
-        if not 0 <= position < self.num_positions:
-            raise ValueError("position out of range")
-        return (level - 1) * self.num_positions + position
-
-    def split(self, g: np.ndarray) -> np.ndarray:
-        """Reshape a joint observable to (levels, positions)."""
-        g = np.asarray(g, dtype=float)
-        return g.reshape(self.num_levels, self.num_positions)
-
-
 def build_tempering_chain(
     level_processes: list,
     rel_probs,
     swap_rate: float,
-) -> TemperingChain:
+) -> FiniteMarkovProcess:
     """Assemble the joint simulated-tempering chain from per-level chains.
 
-    Within level i the generator is the level chain's.  Between (i, x) and
-    (i+-1, x) the rate is (swap_rate / 2) * min(r' pi'(x) / (r pi(x)), 1):
-    propose each neighbour level with probability 1/2, accept by stationary
-    ratio.  Joint stationary law: r_i pi_i(x).
+    States are (level, position) with level 1..L, flat index
+    (level - 1) * positions + position.  Within level i the flows are
+    r_i times the level chain's.  Between (i, x) and (i+1, x) the flow is
+    (swap_rate / 2) * min(r_i pi_i(x), r_(i+1) pi_(i+1)(x)): propose each
+    neighbour level with probability 1/2, accept by stationary ratio.  Joint
+    stationary law: r_i pi_i(x).
     """
     r = np.asarray(rel_probs, dtype=float)
     L = r.size
@@ -365,61 +348,19 @@ def build_tempering_chain(
     if L * n > MAX_STATES:
         raise ValueError(f"joint chain would have {L * n} > {MAX_STATES} states")
 
-    N = L * n
-    off = np.zeros((N, N))
-    pi = np.zeros(N)
-    for i in range(L):
+    pi = np.concatenate([ri * p.stationary for ri, p in zip(r, level_processes)])
+    flow = np.zeros((L * n, L * n))
+    for i, p in enumerate(level_processes):
         sl = slice(i * n, (i + 1) * n)
-        block = level_processes[i].rates.copy()
-        np.fill_diagonal(block, 0.0)
-        off[sl, sl] = block
-        pi[sl] = r[i] * level_processes[i].stationary
-    for i in range(L - 1):
-        lo = slice(i * n, (i + 1) * n)
-        hi = slice((i + 1) * n, (i + 2) * n)
-        pi_lo = pi[lo]
-        pi_hi = pi[hi]
-        up = 0.5 * swap_rate * np.minimum(pi_hi / pi_lo, 1.0)
-        down = 0.5 * swap_rate * np.minimum(pi_lo / pi_hi, 1.0)
-        ix = np.arange(n)
-        off[i * n + ix, (i + 1) * n + ix] = up
-        off[(i + 1) * n + ix, i * n + ix] = down
+        flow[sl, sl] = r[i] * _flows(p)
+    lo = np.arange((L - 1) * n)
+    flow[lo, lo + n] = flow[lo + n, lo] = 0.5 * swap_rate * np.minimum(pi[lo], pi[lo + n])
     labels = tuple((i + 1, x) for i in range(L) for x in range(n))
-    proc = FiniteMarkovProcess.from_offdiag(off, pi, labels=labels)
-    return TemperingChain(
-        process=proc,
-        level_processes=tuple(level_processes),
-        rel_probs=r,
-        swap_rate=float(swap_rate),
-        num_positions=n,
-    )
+    return FiniteMarkovProcess.from_offdiag(flow / pi[:, None], pi, labels=labels)
 
 
 # ---------------------------------------------------------------------------
 # projected chains
-
-
-@dataclass(frozen=True)
-class ProjectedChain:
-    """Small chain over component labels carrying the decomposition rates."""
-
-    rates: np.ndarray
-    weights: np.ndarray
-    labels: tuple
-
-    def as_process(self) -> FiniteMarkovProcess:
-        """Validated process; flows symmetrized to absorb rounding."""
-        off = self.rates.copy()
-        np.fill_diagonal(off, 0.0)
-        flow = self.weights[:, None] * off
-        asym = float(np.abs(flow - flow.T).max())
-        if asym > 1e-8 * max(float(flow.max()), 1e-300):
-            raise ValueError(
-                f"projected rates break detailed balance by {asym:.3g}"
-            )
-        flow = 0.5 * (flow + flow.T)
-        off = flow / self.weights[:, None]
-        return FiniteMarkovProcess.from_offdiag(off, self.weights, labels=self.labels)
 
 
 def _capped_inverse(chi2: float) -> float:
@@ -431,35 +372,48 @@ def _capped_inverse(chi2: float) -> float:
             "chi-squared divergence is numerically zero; capping the "
             f"projected rate at {RATE_CAP:.0e}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return RATE_CAP
     return 1.0 / chi2
 
 
+def _component_flows(w: np.ndarray, dens: np.ndarray, kind: str) -> np.ndarray:
+    """Flows between mixture components j != k: w_j w_k / chi2_max(p_j, p_k)
+    for kind "chi2", w_j w_k sum_x min(p_j, p_k) for kind "overlap"."""
+    if kind not in ("chi2", "overlap"):
+        raise ValueError(f"unknown projected-chain kind {kind!r}")
+    m = w.size
+    flow = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j + 1, m):
+            p, q = dens[j], dens[k]
+            v = _capped_inverse(chi2_max_discrete(p, q)) if kind == "chi2" else overlap_discrete(p, q)
+            flow[j, k] = flow[k, j] = w[j] * w[k] * v
+    return flow
+
+
 def build_projected_chain(
-    betas_count: int,
     comp_weights: np.ndarray,
     rel_probs: np.ndarray,
     densities: np.ndarray,
     swap_strength: float,
-) -> ProjectedChain:
+) -> FiniteMarkovProcess:
     """Projected chain on (level, component) labels for a tempering mixture.
 
     comp_weights[i, j] and densities[i, j, :] describe level i's mixture.
-    Rates: within the hottest level (i = 1), j -> j' moves at
-    w[1, j'] / chi2_max(p_(1,j), p_(1,j')); between adjacent levels at the
-    same j, swap_strength times the scaled overlap
-    sum_x min(c p', p), c = (r' w') / (r w).  Everything else is zero.
-    Stationary law: r_i w[i, j].
+    Stationary law: r_i w[i, j].  Flows: within the hottest level (i = 1),
+    r_1 w[1, j] w[1, j'] / chi2_max(p_(1,j), p_(1,j')); between adjacent
+    levels at the same j, swap_strength times the overlap of the two masses,
+    sum_x min(r_i w[i, j] p_(i,j)(x), r_(i+1) w[i+1, j] p_(i+1,j)(x)).
+    Everything else is zero.
     """
-    L = int(betas_count)
     w = np.asarray(comp_weights, dtype=float)
     r = np.asarray(rel_probs, dtype=float)
     dens = np.asarray(densities, dtype=float)
-    if w.ndim != 2 or w.shape[0] != L:
+    if w.ndim != 2:
         raise ValueError("comp_weights must be (levels, components)")
-    m = w.shape[1]
+    L, m = w.shape
     if dens.shape[:2] != (L, m):
         raise ValueError("densities must be (levels, components, states)")
     if r.shape != (L,):
@@ -469,34 +423,24 @@ def build_projected_chain(
     if swap_strength <= 0:
         raise ValueError("swap_strength must be > 0")
 
-    N = L * m
-
-    def idx(i, j):
-        return i * m + j
-
-    off = np.zeros((N, N))
-    bar = (r[:, None] * w).ravel()  # stationary law on (level, component)
-
-    off[:m, :m] = build_simple_projected_chain(w[0], dens[0]).rates
-    for i in range(L - 1):
-        for j in range(m):
-            a, b = idx(i, j), idx(i + 1, j)
-            c_up = (r[i + 1] * w[i + 1, j]) / (r[i] * w[i, j])
-            off[a, b] = swap_strength * overlap_discrete(
-                dens[i + 1, j], dens[i, j], scale=c_up
-            )
-            off[b, a] = swap_strength * overlap_discrete(
-                dens[i, j], dens[i + 1, j], scale=1.0 / c_up
-            )
+    bar = r[:, None] * w  # stationary law on (level, component)
+    mass = bar[:, :, None] * dens
+    flow = np.zeros((L * m, L * m))
+    flow[:m, :m] = r[0] * _component_flows(w[0], dens[0], "chi2")
+    lo = np.arange((L - 1) * m)
+    flow[lo, lo + m] = flow[lo + m, lo] = (
+        swap_strength * np.minimum(mass[:-1], mass[1:]).sum(axis=2).ravel()
+    )
     labels = tuple((i + 1, j) for i in range(L) for j in range(m))
-    return ProjectedChain(rates=off, weights=bar, labels=labels)
+    pi = bar.ravel()
+    return FiniteMarkovProcess.from_offdiag(flow / pi[:, None], pi, labels)
 
 
 def build_simple_projected_chain(
     weights: np.ndarray,
     densities: np.ndarray,
     kind: str = "chi2",
-) -> ProjectedChain:
+) -> FiniteMarkovProcess:
     """Projected chain over plain mixture components (single level).
 
     kind "chi2":    rate j -> k is w_k / chi2_max(p_j, p_k).
@@ -504,24 +448,10 @@ def build_simple_projected_chain(
     """
     w = np.asarray(weights, dtype=float)
     dens = np.asarray(densities, dtype=float)
-    m = w.size
-    if dens.shape[0] != m:
+    if dens.shape[0] != w.size:
         raise ValueError("need one density per weight")
-    off = np.zeros((m, m))
-    for j in range(m):
-        for k in range(m):
-            if j == k:
-                continue
-            if kind == "chi2":
-                off[j, k] = w[k] * _capped_inverse(
-                    chi2_max_discrete(dens[j], dens[k])
-                )
-            elif kind == "overlap":
-                off[j, k] = w[k] * overlap_discrete(dens[j], dens[k])
-            else:
-                raise ValueError(f"unknown projected-chain kind {kind!r}")
-    labels = tuple(range(m))
-    return ProjectedChain(rates=off, weights=w, labels=labels)
+    flow = _component_flows(w, dens, kind)
+    return FiniteMarkovProcess.from_offdiag(flow / w[:, None], w, tuple(range(w.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -670,30 +600,37 @@ class DecompositionReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "instance_hash": self.instance_hash,
-            "C": float(self.C),
-            "C_bar": float(self.C_bar),
-            "C_star": float(self.C_star),
-            "bound": float(self.bound),
-            "slack": float(self.slack),
-            "passed": bool(self.passed),
-            "identity_residual": float(self.identity_residual),
-        }
-        if self.details:
-            out["details"] = {
-                k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                for k, v in self.details.items()
-            }
+        out = _jsonable(asdict(self))
+        if not self.details:
+            del out["details"]
         return out
 
 
-def _safe_poincare(proc_or_chain) -> float:
+def _safe_poincare(proc: FiniteMarkovProcess) -> float:
     try:
-        return poincare_constant(proc_or_chain)
+        return poincare_constant(proc)
     except ReducibleChainError:
         return INFINITY
+
+
+def _judged(theorem, tag, C, C_bar, C_star, bound_of, tol, residual, details):
+    """The report for one bound: bound_of(C_bar), or inf (a vacuous pass)
+    when the projected chain is reducible; passed when C_star is within
+    bound * (1 + tol)."""
+    bound = bound_of(C_bar) if math.isfinite(C_bar) else INFINITY
+    slack = bound * (1.0 + tol) - C_star if math.isfinite(bound) else INFINITY
+    return DecompositionReport(
+        theorem=theorem,
+        instance_hash=tag,
+        C=C,
+        C_bar=C_bar,
+        C_star=C_star,
+        bound=bound,
+        slack=slack,
+        passed=bool(slack >= 0.0),
+        identity_residual=residual,
+        details=dict(details),
+    )
 
 
 def _identity_residual_simple(mix, comps, weights, probes) -> float:
@@ -711,8 +648,6 @@ def _identity_residual_simple(mix, comps, weights, probes) -> float:
 def verify_simple_decomposition(
     instance: SimpleInstance,
     tol: float = 1e-6,
-    num_probes: int = 20,
-    probe_seed: int = 0,
 ) -> list:
     """Check both mixture-decomposition bounds on one finite instance.
 
@@ -731,45 +666,30 @@ def verify_simple_decomposition(
         for d in instance.densities
     ]
     mix = mixture_chain(comps, w)
-    rng = np.random.Generator(np.random.PCG64(probe_seed))
+    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
     n = mix.num_states
-    probes = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(num_probes)]
+    probes = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(_NUM_PROBES)]
     residual = _identity_residual_simple(mix, comps, w, probes)
     C = max(poincare_constant(c) for c in comps)
     C_star = poincare_constant(mix)
     tag = instance.hash()
-
-    reports = []
-    for kind, theorem, bound_fn in (
-        ("chi2", "mixture-decomposition-chi2", lambda cb: C * (1.0 + cb / 2.0)),
-        ("overlap", "mixture-decomposition-overlap", lambda cb: C * (1.0 + 2.0 * cb)),
-    ):
-        proj = build_simple_projected_chain(w, instance.densities, kind=kind)
-        C_bar = _safe_poincare(proj.as_process())
-        bound = bound_fn(C_bar) if math.isfinite(C_bar) else INFINITY
-        slack = bound * (1.0 + tol) - C_star if math.isfinite(bound) else INFINITY
-        reports.append(
-            DecompositionReport(
-                theorem=theorem,
-                instance_hash=tag,
-                C=C,
-                C_bar=C_bar,
-                C_star=C_star,
-                bound=bound,
-                slack=slack,
-                passed=bool(slack >= 0.0),
-                identity_residual=residual,
-                details={"num_components": int(w.size), "num_states": int(n)},
-            )
+    details = {"num_components": int(w.size), "num_states": int(n)}
+    return [
+        _judged(
+            theorem, tag, C,
+            _safe_poincare(build_simple_projected_chain(w, instance.densities, kind=kind)),
+            C_star, bound_of, tol, residual, details,
         )
-    return reports
+        for kind, theorem, bound_of in (
+            ("chi2", "mixture-decomposition-chi2", lambda cb: C * (1.0 + cb / 2.0)),
+            ("overlap", "mixture-decomposition-overlap", lambda cb: C * (1.0 + 2.0 * cb)),
+        )
+    ]
 
 
 def verify_tempering_decomposition(
     instance: TemperingInstance,
     tol: float = 1e-6,
-    num_probes: int = 20,
-    probe_seed: int = 0,
 ) -> DecompositionReport:
     """Check the tempering decomposition bound on one finite instance.
 
@@ -795,12 +715,12 @@ def verify_tempering_decomposition(
     joint = build_tempering_chain(level_chains, instance.rel_probs, lam)
 
     # Dirichlet identity: joint form = sum_i r_i E_i + exchange half-sum
-    rng = np.random.Generator(np.random.PCG64(probe_seed))
+    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
     worst = 0.0
-    for _ in range(num_probes):
+    for _ in range(_NUM_PROBES):
         g = rng.standard_normal(L * n)
-        lhs = dirichlet_form(joint.process, g)
-        G = joint.split(g)
+        lhs = dirichlet_form(joint, g)
+        G = g.reshape(L, n)
         rhs = sum(
             instance.rel_probs[i] * dirichlet_form(level_chains[i], G[i])
             for i in range(L)
@@ -819,26 +739,14 @@ def verify_tempering_decomposition(
         poincare_constant(comp_chains[i][j]) for i in range(L) for j in range(m)
     )
     proj = build_projected_chain(
-        L, instance.comp_weights, instance.rel_probs, instance.densities, K
+        instance.comp_weights, instance.rel_probs, instance.densities, K
     )
-    C_bar = _safe_poincare(proj.as_process())
-    C_star = poincare_constant(joint.process)
-    if math.isfinite(C_bar):
-        bound = max(C * (1.0 + (0.5 + 6.0 * K) * C_bar), 6.0 * K * C_bar / lam)
-    else:
-        bound = INFINITY
-    slack = bound * (1.0 + tol) - C_star if math.isfinite(bound) else INFINITY
-    return DecompositionReport(
-        theorem="tempering-decomposition",
-        instance_hash=instance.hash(),
-        C=C,
-        C_bar=C_bar,
-        C_star=C_star,
-        bound=bound,
-        slack=slack,
-        passed=bool(slack >= 0.0),
-        identity_residual=worst,
-        details={
+    return _judged(
+        "tempering-decomposition", instance.hash(), C, _safe_poincare(proj),
+        poincare_constant(joint),
+        lambda cb: max(C * (1.0 + (0.5 + 6.0 * K) * cb), 6.0 * K * cb / lam),
+        tol, worst,
+        {
             "levels": int(L),
             "components": int(m),
             "positions": int(n),

@@ -56,18 +56,14 @@ class EstimationFailure(RuntimeError):
 
 
 class RngStream:
-    """Thin wrapper over numpy Generator with spawnable child streams.
+    """Thin wrapper over numpy Generator.
 
     Everything downstream draws through this interface, so tests can inject
     a stub (e.g. zero noise) to make dynamics deterministic.
     """
 
     def __init__(self, seed):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        else:
-            self._seq = np.random.SeedSequence(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
+        self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
@@ -75,14 +71,8 @@ class RngStream:
     def uniform(self) -> float:
         return float(self._gen.random())
 
-    def exponential(self, scale: float) -> float:
-        return float(self._gen.exponential(scale))
-
     def exponentials(self, scale: float, size: int) -> np.ndarray:
         return self._gen.exponential(scale, size)
-
-    def spawn(self, n: int) -> list["RngStream"]:
-        return [RngStream(s) for s in self._seq.spawn(n)]
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,23 @@ class TestConfigValidation:
         assert f"{block}.main_time" in err and "overrides.step_size" in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("mode, block", [("sample", "sample"), ("baseline-compare", "baseline")])
+    @pytest.mark.parametrize("key", ["main_time", "overrides.step_size"])
+    def test_run_shorter_than_one_step_is_refused(self, tmp_path, capsys, mode, block, key):
+        doc = {k: v for k, v in sample_config().items() if k != "sample"}
+        if key == "main_time":
+            doc[block] = {"main_time": 0.01}  # below step_size 0.05
+            named = f"{block}.main_time"
+        else:
+            doc["overrides"] = {**doc["overrides"], "step_size": 20.0}  # above total_time 10
+            named = key
+        cfg = write_config(tmp_path, doc)
+        code = main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and named in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_inline_fixture_field_error_names_the_field(self, tmp_path, capsys):
         doc = dict(sample_config())
         doc["fixture"] = {**TINY_MIXTURE, "base": {"kind": "isotropic-gaussian", "sigma": -1.0}}

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temperlab.decomposition import (
     INFINITY,
@@ -435,8 +437,8 @@ class TestTemperingChain:
     def test_single_level_is_the_level_chain(self):
         level = self.levels()[0]
         joint = build_tempering_chain([level], np.array([1.0]), swap_rate=1.0)
-        np.testing.assert_allclose(joint.process.rates, level.rates, atol=1e-12)
-        np.testing.assert_allclose(joint.process.stationary, level.stationary)
+        np.testing.assert_allclose(joint.rates, level.rates, atol=1e-12)
+        np.testing.assert_allclose(joint.stationary, level.stationary)
 
     def test_identical_levels_have_flat_cross_rates(self):
         level = self.levels()[1]
@@ -444,10 +446,10 @@ class TestTemperingChain:
         joint = build_tempering_chain([level, level], np.array([0.5, 0.5]), lam)
         n = level.num_states
         for x in range(n):
-            assert joint.process.rates[x, n + x] == pytest.approx(lam / 2)
-            assert joint.process.rates[n + x, x] == pytest.approx(lam / 2)
+            assert joint.rates[x, n + x] == pytest.approx(lam / 2)
+            assert joint.rates[n + x, x] == pytest.approx(lam / 2)
         np.testing.assert_allclose(
-            joint.process.stationary[:n], joint.process.stationary[n:]
+            joint.stationary[:n], joint.stationary[n:]
         )
 
     def test_stationary_is_rel_prob_times_level_law(self):
@@ -457,14 +459,14 @@ class TestTemperingChain:
         expected = np.concatenate(
             [ri * lv.stationary for ri, lv in zip(r, levels)]
         )
-        np.testing.assert_allclose(joint.process.stationary, expected, rtol=1e-14)
+        np.testing.assert_allclose(joint.stationary, expected, rtol=1e-14)
 
     def test_cross_rate_formula_and_sparsity(self):
         levels = self.levels(n=12)
         r = np.array([0.5, 0.3, 0.2])
         lam = 0.7
         joint = build_tempering_chain(levels, r, lam)
-        Q = joint.process.rates
+        Q = joint.rates
         n = 12
         for i in range(2):
             pi_lo = r[i] * levels[i].stationary
@@ -482,7 +484,7 @@ class TestTemperingChain:
     def test_within_level_blocks_match_level_generators(self):
         levels = self.levels(n=10)
         joint = build_tempering_chain(levels, np.full(3, 1.0 / 3.0), 1.0)
-        Q = joint.process.rates
+        Q = joint.rates
         for i, lv in enumerate(levels):
             block = Q[i * 10:(i + 1) * 10, i * 10:(i + 1) * 10].copy()
             expected = lv.rates.copy()
@@ -499,8 +501,8 @@ class TestTemperingChain:
         n = 20
         for _ in range(50):
             g = rng.standard_normal(3 * n)
-            parts = joint.split(g)
-            lhs = dirichlet_form(joint.process, g)
+            parts = g.reshape(3, n)
+            lhs = dirichlet_form(joint, g)
             rhs = sum(
                 r[i] * dirichlet_form(levels[i], parts[i]) for i in range(3)
             )
@@ -515,25 +517,13 @@ class TestTemperingChain:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_flat_index_matches_labels(self):
+        # state (level i, position x) sits at flat index (i - 1) * n + x
         levels = self.levels(n=8)
         joint = build_tempering_chain(levels, np.full(3, 1.0 / 3.0), 1.0)
-        assert joint.num_levels == 3
+        assert len(joint.labels) == joint.num_states == 24
         for i in (1, 2, 3):
             for x in (0, 3, 7):
-                k = joint.flat_index(i, x)
-                assert joint.process.labels[k] == (i, x)
-        with pytest.raises(ValueError, match="level"):
-            joint.flat_index(0, 0)
-        with pytest.raises(ValueError, match="position"):
-            joint.flat_index(1, 8)
-
-    def test_split_reshapes(self):
-        levels = self.levels(n=8)
-        joint = build_tempering_chain(levels, np.full(3, 1.0 / 3.0), 1.0)
-        g = np.arange(24.0)
-        parts = joint.split(g)
-        assert parts.shape == (3, 8)
-        assert parts[2, 5] == g[joint.flat_index(3, 5)]
+                assert joint.labels[(i - 1) * 8 + x] == (i, x)
 
     def test_validation(self):
         levels = self.levels(n=8)
@@ -565,7 +555,6 @@ class TestProjectedChain:
         q = np.array([a, 1.0 - a])
         assert chi2_max_discrete(p, q) == pytest.approx(3.0, rel=1e-12)
         proj = build_projected_chain(
-            betas_count=1,
             comp_weights=np.array([[0.5, 0.5]]),
             rel_probs=np.array([1.0]),
             densities=np.stack([p, q])[None, :, :],
@@ -573,14 +562,13 @@ class TestProjectedChain:
         )
         assert proj.rates[0, 1] == pytest.approx(1.0 / 6.0, rel=1e-12)
         assert proj.rates[1, 0] == pytest.approx(1.0 / 6.0, rel=1e-12)
-        np.testing.assert_allclose(proj.weights, [0.5, 0.5])
+        np.testing.assert_allclose(proj.stationary, [0.5, 0.5])
 
     def test_vertical_rate_is_strength_times_overlap(self):
         dens = np.zeros((2, 1, 2))
         dens[0, 0] = (0.8, 0.2)
         dens[1, 0] = (0.2, 0.8)
         proj = build_projected_chain(
-            betas_count=2,
             comp_weights=np.ones((2, 1)),
             rel_probs=np.array([0.5, 0.5]),
             densities=dens,
@@ -589,7 +577,7 @@ class TestProjectedChain:
         assert proj.rates[0, 1] == 0.4
         assert proj.rates[1, 0] == 0.4
         doubled = build_projected_chain(
-            2, np.ones((2, 1)), np.array([0.5, 0.5]), dens, swap_strength=2.0
+            np.ones((2, 1)), np.array([0.5, 0.5]), dens, swap_strength=2.0
         )
         assert doubled.rates[0, 1] == 0.8
 
@@ -598,13 +586,12 @@ class TestProjectedChain:
         dens[0, 0] = (0.5, 0.3, 0.2)
         dens[1, 0] = (0.1, 0.2, 0.7)
         proj = build_projected_chain(
-            2, np.ones((2, 1)), np.array([0.75, 0.25]), dens, swap_strength=1.5
+            np.ones((2, 1)), np.array([0.75, 0.25]), dens, swap_strength=1.5
         )
         flow_up = 0.75 * proj.rates[0, 1]
         flow_down = 0.25 * proj.rates[1, 0]
         assert flow_up == pytest.approx(flow_down, rel=1e-12)
-        proc = proj.as_process()
-        np.testing.assert_allclose(proc.stationary, proj.weights)
+        np.testing.assert_allclose(proj.stationary, [0.75, 0.25])
 
     def test_sparsity_pattern(self):
         rng = np.random.default_rng(23)
@@ -613,7 +600,7 @@ class TestProjectedChain:
         cw = rng.uniform(0.2, 1.0, (3, 2))
         cw /= cw.sum(axis=1, keepdims=True)
         proj = build_projected_chain(
-            3, cw, np.full(3, 1.0 / 3.0), dens, swap_strength=1.0
+            cw, np.full(3, 1.0 / 3.0), dens, swap_strength=1.0
         )
         m = 2
 
@@ -650,31 +637,15 @@ class TestProjectedChain:
                 np.array([0.5, 0.5]), np.stack([p, q]), kind="bogus"
             )
 
-    def test_as_process_rejects_broken_balance(self):
-        proj = build_simple_projected_chain(
-            np.array([0.5, 0.5]),
-            np.stack([np.array([0.8, 0.2]), np.array([0.2, 0.8])]),
-            kind="overlap",
-        )
-        skewed = dataclasses.replace(
-            proj, weights=np.array([0.9, 0.1])
-        )
-        with pytest.raises(ValueError, match="detailed balance"):
-            skewed.as_process()
-
     def test_input_validation(self):
         dens = np.full((2, 1, 2), 0.5)
         with pytest.raises(ValueError, match="sum to 1"):
             build_projected_chain(
-                2, np.full((2, 1), 0.9), np.array([0.5, 0.5]), dens, 1.0
+                np.full((2, 1), 0.9), np.array([0.5, 0.5]), dens, 1.0
             )
         with pytest.raises(ValueError, match="swap_strength"):
             build_projected_chain(
-                2, np.ones((2, 1)), np.array([0.5, 0.5]), dens, 0.0
-            )
-        with pytest.raises(ValueError, match="levels, components"):
-            build_projected_chain(
-                3, np.ones((2, 1)), np.array([0.5, 0.5]), dens, 1.0
+                np.ones((2, 1)), np.array([0.5, 0.5]), dens, 0.0
             )
 
 
@@ -951,6 +922,41 @@ class TestVerifyTempering:
         np.testing.assert_allclose(inst.densities.sum(axis=2), 1.0, rtol=1e-12)
         np.testing.assert_allclose(inst.comp_weights.sum(axis=1), 1.0)
         assert inst.betas[-1] == 1.0
+
+
+@st.composite
+def tempering_shapes(draw):
+    """(levels, components, positions, seed) with at most MAX_STATES joint states."""
+    L = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(8, MAX_STATES // L))
+    return L, m, n, draw(st.integers(0, 2**32 - 1))
+
+
+@given(tempering_shapes())
+@settings(max_examples=25, deadline=None)
+def test_tempering_bound_holds_at_random_shapes(shape):
+    L, m, n, seed = shape
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-6.0, 6.0, n)
+    betas = np.ones(1) if L == 1 else rng.uniform(0.05, 0.3) ** (1.0 - np.arange(L) / (L - 1))
+    centers = rng.uniform(-2.5, 2.5, m)
+    sigmas = rng.uniform(0.6, 1.2, m)
+    dens = np.stack([
+        np.stack([gauss_masses(grid, c, s, beta) for c, s in zip(centers, sigmas)])
+        for beta in betas
+    ])
+    cw = rng.uniform(0.1, 1.0, (L, m))
+    cw /= cw.sum(axis=1, keepdims=True)
+    inst = TemperingInstance(
+        grid=grid, betas=betas, rel_probs=np.full(L, 1.0 / L), comp_weights=cw,
+        densities=dens, swap_rate=float(rng.uniform(0.5, 2.0)),
+        swap_strength=float(rng.choice([0.5, 1.0, 2.0])),
+    )
+    rep = verify_tempering_decomposition(inst, tol=1e-6)
+    assert rep.passed, rep.to_dict()
+    assert rep.identity_residual < 1e-8
+    assert (rep.details["levels"], rep.details["components"], rep.details["positions"]) == (L, m, n)
 
 
 class TestInstanceHashing:

@@ -50,9 +50,6 @@ class ZeroNoiseRng:
     def uniform(self):
         return self.uniform_value
 
-    def exponential(self, scale):
-        return scale
-
     def exponentials(self, scale, size):
         return np.full(size, scale)
 
