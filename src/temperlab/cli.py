@@ -47,7 +47,7 @@ from .fixtures import (
     target_from_dict,
 )
 from .ladder import RunParams, ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
-from .sampler import RngStream, run_main, run_plain_langevin, run_stlmc
+from .sampler import RngStream, _samples_per_stage, run_main, run_plain_langevin, run_stlmc
 
 __all__ = ["main"]
 
@@ -130,8 +130,8 @@ def _fixture_from_config(config: dict) -> Fixture:
     )
 
 
-# Most Langevin steps one staged or long run may take.  The default schedule
-# constants ask for 1e11-1e24 steps per staged run on the built-in fixtures.
+# Most Langevin steps one staged or long run, or all of staging, may take.  The
+# default schedule constants ask for 1e11-1e24 steps per staged run on builtins.
 MAX_RUN_STEPS = 1e9
 
 
@@ -179,25 +179,43 @@ def _ladder_for(fixture: Fixture, config: dict):
     return ladder, _run_params(params, "a staged run", time_key, **config.get("overrides", {}))
 
 
+def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
+    """Stage the partition estimates, then run one long tempering chain with
+    the config `section`'s main_time, after checking every run length and the
+    least work of staging.  Returns (ladder, long_params, staged, rec, rng)."""
+    ladder, params = _ladder_for(fixture, config)
+    cfg = config.get(section, {})
+    main_time = cfg.get("main_time", params.total_time)
+    long_params = _run_params(params, "the long run", f"{section}.main_time",
+                              total_time=main_time)
+    confidence = cfg.get("confidence", 0.05)
+    L = ladder.num_levels
+    need = _samples_per_stage(params, L, confidence)
+    steps = params.total_time / params.step_size
+    if steps * ((L - 1) * need + 1) > MAX_RUN_STEPS:
+        raise ConfigError(
+            f"staging would take at least {steps * ((L - 1) * need + 1):.3g} Langevin steps "
+            f"({L - 1} stages of {need} kept runs of {steps:.3g} steps, plus the final run), "
+            f"more than {MAX_RUN_STEPS:.0e}; lower schedule.c_samples, raise "
+            f"overrides.step_size, or lower schedule.c_time or overrides.total_time"
+        )
+    rng = RngStream(config["seed"])
+    staged = run_main(
+        fixture.oracle, ladder, params, rng, confidence=confidence, num_final_samples=1
+    )
+    full = ladder.with_partition_estimates(staged.zhat)
+    rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
+    return ladder, long_params, staged, rec, rng
+
+
 # ---------------------------------------------------------------------------
 # sample
 
 
 def _mode_sample(config: dict, out_dir: Path) -> bool:
     fixture = _fixture_from_config(config)
-    ladder, params = _ladder_for(fixture, config)
-    sample_cfg = config.get("sample", {})
-    thin = sample_cfg.get("thin", 10)
-    confidence = sample_cfg.get("confidence", 0.05)
-    main_time = sample_cfg.get("main_time", params.total_time)
-    long_params = _run_params(params, "the long run", "sample.main_time", total_time=main_time)
-    rng = RngStream(config["seed"])
-
-    staged = run_main(
-        fixture.oracle, ladder, params, rng, confidence=confidence, num_final_samples=1
-    )
-    full = ladder.with_partition_estimates(staged.zhat)
-    rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
+    thin = config.get("sample", {}).get("thin", 10)
+    ladder, long_params, staged, rec, _ = _staged_long_run(fixture, config, "sample", thin)
     samples = rec.positions_at_level(ladder.num_levels)
 
     _write_samples_csv(out_dir / "samples.csv", samples)
@@ -471,16 +489,9 @@ def _mode_baseline_compare(config: dict, out_dir: Path) -> bool:
     target = fixture.target
     if target is None or target.dim != 1 or target.m < 2:
         raise ConfigError("baseline-compare needs a 1-d mixture fixture with >= 2 modes")
-    ladder, params = _ladder_for(fixture, config)
     b = config.get("baseline", {})
     thin = b.get("thin", 1)
-    main_time = b.get("main_time", params.total_time)
-    long_params = _run_params(params, "the long run", "baseline.main_time", total_time=main_time)
-    rng = RngStream(config["seed"])
-
-    staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)
-    full = ladder.with_partition_estimates(staged.zhat)
-    rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
+    ladder, long_params, _, rec, rng = _staged_long_run(fixture, config, "baseline", thin)
     samples = rec.positions_at_level(ladder.num_levels)
 
     start_idx = b.get("start_center", target.m - 1)

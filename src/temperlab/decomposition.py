@@ -305,15 +305,13 @@ def chi2_max_discrete(a: np.ndarray, b: np.ndarray) -> float:
     return max(chi2_discrete(a, b), chi2_discrete(b, a))
 
 
-def overlap_discrete(p: np.ndarray, q: np.ndarray, scale: float = 1.0) -> float:
-    """sum_x min(scale * p, q); the vertical-move overlap mass."""
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+def overlap_discrete(p: np.ndarray, q: np.ndarray) -> float:
+    """sum_x min(p, q); the vertical-move overlap mass."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("distributions must have the same length")
-    return float(np.minimum(scale * p, q).sum())
+    return float(np.minimum(p, q).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +764,9 @@ def random_simple_instance(rng: np.random.Generator) -> SimpleInstance:
     sigmas = rng.uniform(0.6, 1.5, m)
     w = rng.uniform(0.1, 1.0, m)
     w = w / w.sum()
-    dens = np.empty((m, n))
-    for j in range(m):
-        logmass = -0.5 * ((grid - centers[j]) / sigmas[j]) ** 2
-        mass = np.exp(logmass - logmass.max())
-        dens[j] = mass / mass.sum()
+    logmass = -0.5 * ((grid[None, :] - centers[:, None]) / sigmas[:, None]) ** 2
+    mass = np.exp(logmass - logmass.max(axis=1, keepdims=True))
+    dens = mass / mass.sum(axis=1, keepdims=True)
     return SimpleInstance(grid=grid, weights=w, densities=dens, base_rate=1.0 / h**2)
 
 
@@ -790,12 +786,10 @@ def random_tempering_instance(
     betas = np.array([beta1, math.sqrt(beta1), 1.0])
     centers = rng.uniform(-2.5, 2.5, m)
     sigmas = rng.uniform(0.6, 1.2, m)
-    dens = np.empty((L, m, n))
-    for i in range(L):
-        for j in range(m):
-            logmass = -betas[i] * 0.5 * ((grid - centers[j]) / sigmas[j]) ** 2
-            mass = np.exp(logmass - logmass.max())
-            dens[i, j] = mass / mass.sum()
+    logmass = -betas[:, None, None] * 0.5 * (
+        (grid[None, None, :] - centers[None, :, None]) / sigmas[None, :, None]) ** 2
+    mass = np.exp(logmass - logmass.max(axis=2, keepdims=True))
+    dens = mass / mass.sum(axis=2, keepdims=True)
     cw = rng.uniform(0.1, 1.0, (L, m))
     cw = cw / cw.sum(axis=1, keepdims=True)
     rel = np.full(L, 1.0 / L)

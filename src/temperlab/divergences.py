@@ -27,15 +27,11 @@ from .oracles import (
 __all__ = [
     "INFINITY",
     "NormalizationError",
-    "CoverageError",
     "QuadratureGrid",
     "CheckReport",
     "chi2_gaussian",
-    "chi2_max_gaussian",
     "chi2_numeric",
-    "chi2_max_numeric",
     "kl_numeric",
-    "overlap_delta",
     "check_temp_scaling_bounds",
     "check_partition_ratio_bound",
     "kl_mixture_upper_bound_check",
@@ -50,10 +46,6 @@ _LOG_CAP = 700.0
 
 class NormalizationError(ValueError):
     """A density failed to integrate to 1 within tolerance on its grid."""
-
-
-class CoverageError(ValueError):
-    """The grid does not cover the region where the integrand lives."""
 
 
 def _axis_nodes(lo: float, hi: float, n: int, rule: str):
@@ -144,20 +136,6 @@ class QuadratureGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
 
-    def check_coverage(self, means, sigmas, span: float = 8.0):
-        M = np.atleast_2d(np.asarray(means, dtype=float))
-        s = np.asarray(sigmas, dtype=float).reshape(-1)
-        if s.size == 1:
-            s = np.repeat(s, M.shape[0])
-        for (lo, hi), j in zip(self.bounds, range(self.dim)):
-            need_lo = float(np.min(M[:, j] - span * s))
-            need_hi = float(np.max(M[:, j] + span * s))
-            if lo > need_lo + 1e-12 or hi < need_hi - 1e-12:
-                raise CoverageError(
-                    f"axis {j}: grid [{lo}, {hi}] misses required "
-                    f"[{need_lo}, {need_hi}] ({span} sigma around the means)"
-                )
-
 
 def _normalized(grid: QuadratureGrid, density, tol: float = 1e-4, name: str = "density"):
     vals = grid.evaluate(density) if callable(density) else np.asarray(density, float)
@@ -179,7 +157,7 @@ def _normalized(grid: QuadratureGrid, density, tol: float = 1e-4, name: str = "d
 # chi-squared
 
 
-def _as_cov(S, dim_hint=None):
+def _as_cov(S):
     S = np.asarray(S, dtype=float)
     if S.ndim == 0:
         S = S.reshape(1, 1)
@@ -214,10 +192,6 @@ def chi2_gaussian(mean_q, cov_q, mean_p, cov_p) -> float:
         raise ValueError("covariance dimensions disagree")
     mq = np.asarray(mean_q, dtype=float).reshape(-1)
     mp = np.asarray(mean_p, dtype=float).reshape(-1)
-    if mq.size == 1 and d == 1:
-        mq = mq.reshape(1)
-    if mp.size == 1 and d == 1:
-        mp = mp.reshape(1)
     if mq.shape != (d,) or mp.shape != (d,):
         raise ValueError("mean dimensions disagree with covariances")
 
@@ -245,14 +219,6 @@ def chi2_gaussian(mean_q, cov_q, mean_p, cov_p) -> float:
     return float(np.expm1(logval))
 
 
-def chi2_max_gaussian(mean_a, cov_a, mean_b, cov_b) -> float:
-    """max of the two directed Gaussian chi-squared divergences."""
-    return max(
-        chi2_gaussian(mean_a, cov_a, mean_b, cov_b),
-        chi2_gaussian(mean_b, cov_b, mean_a, cov_a),
-    )
-
-
 def chi2_numeric(q_density, p_density, grid: QuadratureGrid) -> float:
     """chi^2(Q || P) = int q^2/p - 1 by quadrature; inf off P's support."""
     q = _normalized(grid, q_density, name="q")
@@ -268,37 +234,20 @@ def chi2_numeric(q_density, p_density, grid: QuadratureGrid) -> float:
     return max(val, 0.0)
 
 
-def chi2_max_numeric(a_density, b_density, grid: QuadratureGrid) -> float:
-    return max(
-        chi2_numeric(a_density, b_density, grid),
-        chi2_numeric(b_density, a_density, grid),
-    )
-
-
 def kl_numeric(p_density, q_density, grid: QuadratureGrid) -> float:
     """KL(P || Q) by quadrature with 0 log 0 = 0; inf off Q's support."""
     p = _normalized(grid, p_density, name="p")
-    q = _normalized(grid, q_density, name="q")
-    bad = (p > 1e-300) & (q <= 0.0)
-    if np.any(bad):
+    return _kl(p, _normalized(grid, q_density, name="q"), grid)
+
+
+def _kl(p: np.ndarray, q: np.ndarray, grid: QuadratureGrid) -> float:
+    """KL between two densities already normalized on the grid's nodes."""
+    if np.any((p > 1e-300) & (q <= 0.0)):
         return INFINITY
     on = p > 0.0
     terms = np.zeros_like(p)
     terms[on] = p[on] * (np.log(p[on]) - np.log(q[on]))
     return grid.integrate(terms)
-
-
-def overlap_delta(p_density, q_density, grid: QuadratureGrid, scale: float = 1.0) -> float:
-    """int min(scale * p, q): the overlap mass feeding vertical moves.
-
-    `scale` is the stationary-weight ratio of the two states; with scale = 1
-    this is the usual total-variation overlap of the two densities.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    p = _normalized(grid, p_density, name="p")
-    q = _normalized(grid, q_density, name="q")
-    return grid.integrate(np.minimum(scale * p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +435,9 @@ def kl_mixture_upper_bound_check(
     Q = [_normalized(grid, c, name=f"Q[{i}]") for i, c in enumerate(comps_q)]
     p_mix = sum(w * v for w, v in zip(wp, P))
     q_mix = sum(w * v for w, v in zip(wq, Q))
-
-    def _kl_vals(a, b):
-        bad = (a > 1e-300) & (b <= 0.0)
-        if np.any(bad):
-            return INFINITY
-        on = a > 0.0
-        t = np.zeros_like(a)
-        t[on] = a[on] * (np.log(a[on]) - np.log(b[on]))
-        return grid.integrate(t)
-
-    lhs = _kl_vals(p_mix, q_mix)
+    lhs = _kl(p_mix, q_mix, grid)
     kl_w = float(np.sum(wp * (np.log(wp) - np.log(wq))))
-    comp_kls = [_kl_vals(a, b) for a, b in zip(P, Q)]
+    comp_kls = [_kl(a, b, grid) for a, b in zip(P, Q)]
     rhs = kl_w + float(np.sum(wp * np.asarray(comp_kls)))
     margin = rhs + tol - lhs if math.isfinite(rhs) else INFINITY
     passed = (not math.isfinite(rhs)) or lhs <= rhs + tol

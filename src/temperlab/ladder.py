@@ -1,11 +1,11 @@
 """Temperature ladders and run-parameter schedules.
 
 A ladder is a finite sequence of inverse temperatures 0 < beta_1 < ... <
-beta_L = 1 with relative level probabilities and (running) partition
-estimates.  The builders derive the whole schedule (ladder geometry, swap
-rate, chain length, step size, initial spread) from a handful of problem
-parameters: dimension, center spread D, base-function scale, minimum weight,
-and target accuracy.
+beta_L = 1, all levels equally likely, with (running) partition estimates.
+The builders derive the whole schedule (ladder geometry, swap rate, chain
+length, step size, initial spread) from a handful of problem parameters:
+dimension, center spread D, base-function scale, minimum weight, and target
+accuracy.
 
 Schedules here scale correctly but are conservative; ScheduleConstants holds
 the tunable leading constants, and the wmin exponent on the chain length is
@@ -60,7 +60,7 @@ class ScheduleConstants:
 
 @dataclass(frozen=True)
 class TemperatureLadder:
-    """Inverse temperatures with level probabilities and partition estimates.
+    """Inverse temperatures with partition estimates; levels are equally likely.
 
     betas strictly increase and end at 1 unless the ladder is an explicit
     prefix of a longer one (partial=True), in which case the endpoint check
@@ -68,14 +68,11 @@ class TemperatureLadder:
     """
 
     betas: np.ndarray
-    rel_probs: np.ndarray
     partition_estimates: np.ndarray
-    ratio_bound: float
     partial: bool = False
 
     def __post_init__(self):
         b = np.asarray(self.betas, dtype=float)
-        r = np.asarray(self.rel_probs, dtype=float)
         z = np.asarray(self.partition_estimates, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ValueError("betas must be a non-empty 1-d array")
@@ -85,16 +82,9 @@ class TemperatureLadder:
             raise ValueError("betas must strictly increase")
         if not self.partial and abs(b[-1] - 1.0) > 1e-12:
             raise ValueError("the coldest level must have beta = 1")
-        if r.shape != b.shape or np.any(r <= 0):
-            raise ValueError("rel_probs must be positive, one per level")
-        if abs(float(r.sum()) - 1.0) > 1e-12:
-            raise ValueError("rel_probs must sum to 1")
         if z.shape != b.shape or np.any(z <= 0) or not np.all(np.isfinite(z)):
             raise ValueError("partition_estimates must be positive and finite")
-        if self.ratio_bound <= 1.0:
-            raise ValueError("ratio_bound must exceed 1")
         object.__setattr__(self, "betas", b)
-        object.__setattr__(self, "rel_probs", r)
         object.__setattr__(self, "partition_estimates", z)
 
     @property
@@ -102,14 +92,12 @@ class TemperatureLadder:
         return self.betas.size
 
     def prefix(self, num: int) -> "TemperatureLadder":
-        """First `num` levels with uniform level probabilities; marked partial."""
+        """First `num` levels; marked partial."""
         if not 1 <= num <= self.num_levels:
             raise ValueError(f"prefix length must be in [1, {self.num_levels}]")
         return TemperatureLadder(
             betas=self.betas[:num].copy(),
-            rel_probs=np.full(num, 1.0 / num),
             partition_estimates=self.partition_estimates[:num].copy(),
-            ratio_bound=self.ratio_bound,
             partial=self.partial or num < self.num_levels,
         )
 
@@ -159,16 +147,6 @@ def _geometric_ladder(beta1: float, ratio: float) -> np.ndarray:
     return betas
 
 
-def _ladder_from_betas(betas: np.ndarray, ratio: float) -> TemperatureLadder:
-    L = betas.size
-    return TemperatureLadder(
-        betas=betas,
-        rel_probs=np.full(L, 1.0 / L),
-        partition_estimates=np.ones(L),
-        ratio_bound=ratio,
-    )
-
-
 def build_ladder_gaussian(
     dim: int,
     D: float,
@@ -202,7 +180,7 @@ def build_ladder_gaussian(
     beta1 = min(c.c_beta1 * sigma**2 / D**2, 1.0)
     ratio = 1.0 + 1.0 / (dim + math.log(1.0 / w_min))
     betas = _geometric_ladder(beta1, ratio)
-    ladder = _ladder_from_betas(betas, ratio)
+    ladder = TemperatureLadder(betas=betas, partition_estimates=np.ones(betas.size))
     L = ladder.num_levels
 
     lam = c.c_rate / D**2
@@ -270,7 +248,7 @@ def build_ladder_logconcave(
     cond = math.log(K / kappa) + 1.0
     ratio = 1.0 + kappa / (K * dim * cond)
     betas = _geometric_ladder(beta1, ratio)
-    ladder = _ladder_from_betas(betas, ratio)
+    ladder = TemperatureLadder(betas=betas, partition_estimates=np.ones(betas.size))
     L = ladder.num_levels
 
     lam = c.c_rate / D**2

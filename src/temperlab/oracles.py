@@ -450,8 +450,8 @@ class Perturbation:
     """Additive perturbation with caller-declared bounds.
 
     `delta` bounds |perturbation| and `tau` bounds |grad perturbation| in sup
-    norm.  The bounds are declared, not measured; schedule builders read them
-    as metadata.
+    norm.  The bounds are declared, not measured, and nothing here reads them:
+    they record what the caller claims about the perturbation.
     """
 
     value: object  # callable d-vector -> float
@@ -469,14 +469,6 @@ class PerturbedOracle(DensityOracle):
         self.base = base
         self.perturbation = perturbation
         self.dim = base.dim
-
-    @property
-    def delta(self) -> float:
-        return self.perturbation.delta
-
-    @property
-    def tau(self) -> float:
-        return self.perturbation.tau
 
     def value(self, x) -> float:
         x = _as_vector(x, self.dim)

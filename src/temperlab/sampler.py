@@ -25,7 +25,6 @@ __all__ = [
     "NonFiniteGradient",
     "EstimationFailure",
     "RngStream",
-    "TemperingState",
     "RunRecord",
     "SwapStats",
     "StageStats",
@@ -34,6 +33,7 @@ __all__ = [
     "run_plain_langevin",
     "draw_swap_times",
     "swap_attempt",
+    "substep_schedule",
     "run_stlmc",
     "estimate_partition_ratio",
     "run_main",
@@ -41,12 +41,13 @@ __all__ = [
 
 
 class NonFiniteGradient(RuntimeError):
-    """The oracle returned a non-finite gradient; carries the position."""
+    """A Langevin step left the finite floats, through a non-finite gradient or
+    an overflow; carries the last finite position."""
 
     def __init__(self, position: np.ndarray):
         self.position = np.asarray(position, dtype=float)
         super().__init__(
-            f"non-finite gradient at position {self.position!r}; "
+            f"non-finite gradient or step at position {self.position!r}; "
             "the step size is likely too large for this target"
         )
 
@@ -73,22 +74,6 @@ class RngStream:
 
     def exponentials(self, scale: float, size: int) -> np.ndarray:
         return self._gen.exponential(scale, size)
-
-
-@dataclass(frozen=True)
-class TemperingState:
-    """Chain state: 1-based level index plus position."""
-
-    level: int
-    position: np.ndarray
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level indices are 1-based")
-        pos = np.asarray(self.position, dtype=float)
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("position must be finite")
-        object.__setattr__(self, "position", pos)
 
 
 @dataclass
@@ -149,19 +134,18 @@ class _RecordBuilder:
 
 @dataclass
 class RunRecord:
-    """Thinned trajectory of one tempering run plus bookkeeping."""
+    """Thinned trajectory of one tempering run plus bookkeeping.  The last
+    row is always the run's final state (level, position)."""
 
     steps: np.ndarray
     times: np.ndarray
     levels: np.ndarray
     positions: np.ndarray
-    final_state: TemperingState
     num_levels: int
     target_level: int
     accepted: bool
     total_steps: int
     swap_stats: SwapStats
-    params: RunParams | None = None
 
     def level_occupancy(self) -> np.ndarray:
         """Fraction of recorded entries at each level, shape (num_levels,)."""
@@ -206,16 +190,18 @@ def _langevin_steps(grad, beta, x, m, h, rng, rec, step0, t0, level, thin) -> np
     Step j (1-based) lands at time t0 + j*h and is recorded when the global
     step index step0 + j is a multiple of thin.  Noise rows come in blocks;
     bitwise the same stream as one draw per step, so a langevin_step replay
-    reproduces the trajectory exactly.
+    reproduces the trajectory exactly.  A step that lands on a non-finite
+    position (a non-finite gradient, or an overflow) raises NonFiniteGradient
+    with the last finite position, so every recorded position is finite.
     """
     c = math.sqrt(2.0 * h)
     for b in range(0, m, _NOISE_BLOCK):
         noise = rng.normal((min(_NOISE_BLOCK, m - b), x.size))
         for i, xi in enumerate(noise):
-            g = beta * grad(x)
-            if not np.all(np.isfinite(g)):
+            x_new = x - h * (beta * grad(x)) + c * xi
+            if not np.all(np.isfinite(x_new)):
                 raise NonFiniteGradient(x)
-            x = x - h * g + c * xi
+            x = x_new
             j = b + i + 1
             if (step0 + j) % thin == 0:
                 rec.append(step0 + j, t0 + j * h, level, x)
@@ -253,13 +239,11 @@ def run_plain_langevin(
     if num_steps % thin:
         rec.append(num_steps, num_steps * eta, 1, x)
     return rec.finish(
-        final_state=TemperingState(level=1, position=x),
         num_levels=1,
         target_level=1,
         accepted=True,
         total_steps=num_steps,
         swap_stats=SwapStats(),
-        params=None,
     )
 
 
@@ -288,28 +272,29 @@ def draw_swap_times(rng: RngStream, rate: float, total_time: float) -> np.ndarra
 
 
 def swap_attempt(
-    state: TemperingState,
+    level: int,
+    x: np.ndarray,
     ladder: TemperatureLadder,
     oracle: DensityOracle,
     rng: RngStream,
     stats: SwapStats | None = None,
-) -> TemperingState:
-    """Propose a move to an adjacent level and accept by estimated density ratio.
+) -> int:
+    """Propose a move from `level` (1-based) to an adjacent level at position
+    x, accept by estimated density ratio, and return the new level.
 
     The proposal is i-1 or i+1 with probability 1/2 each; a proposal past
-    either end leaves the state unchanged (no retry).  Acceptance odds for
+    either end leaves the level unchanged (no retry).  Acceptance odds for
     i -> i' are (exp(-beta_i' f) / zhat_i') / (exp(-beta_i f) / zhat_i),
     computed in log space.
     """
-    i = state.level
+    i = level
     L = ladder.num_levels
-    down = rng.uniform() < 0.5
-    j = i - 1 if down else i + 1
+    j = i - 1 if rng.uniform() < 0.5 else i + 1
     if j < 1 or j > L:
         if stats is not None:
             stats.out_of_bounds += 1
-        return state
-    fx = oracle.value(state.position)
+        return i
+    fx = oracle.value(x)
     log_acc = (ladder.betas[i - 1] - ladder.betas[j - 1]) * fx + math.log(
         ladder.partition_estimates[i - 1]
     ) - math.log(ladder.partition_estimates[j - 1])
@@ -322,9 +307,7 @@ def swap_attempt(
         else:
             stats.attempts_up += 1
             stats.accepts_up += int(accept)
-    if accept:
-        return TemperingState(level=j, position=state.position)
-    return state
+    return j if accept else i
 
 
 def substep_schedule(segment: float, eta: float) -> tuple[int, float]:
@@ -386,22 +369,16 @@ def run_stlmc(
             step += m
         seg_start = seg_end
         if k < events.size:
-            state = swap_attempt(
-                TemperingState(level=level, position=x), ladder, oracle, rng, stats
-            )
-            level = state.level
+            level = swap_attempt(level, x, ladder, oracle, rng, stats)
             rec.append(step, seg_end, level, x)
 
-    final = TemperingState(level=level, position=x)
     rec.append(step, params.total_time, level, x)
     return rec.finish(
-        final_state=final,
         num_levels=L,
         target_level=target,
         accepted=level == target,
         total_steps=step,
         swap_stats=stats,
-        params=params,
     )
 
 
@@ -429,6 +406,14 @@ def estimate_partition_ratio(
     fvals = np.array([oracle.value(x) for x in X])
     log_terms = (beta_lo - beta_hi) * fvals
     return math.exp(_logsumexp(log_terms) - math.log(X.shape[0]))
+
+
+def _samples_per_stage(params: RunParams, num_levels: int, confidence: float) -> int:
+    """Accepted runs run_main keeps at each stage before the last:
+    ceil(c_samples L^2 log(1/confidence)), at least one."""
+    return max(
+        1, math.ceil(params.constants.c_samples * num_levels**2 * math.log(1.0 / confidence))
+    )
 
 
 @dataclass
@@ -475,9 +460,7 @@ def run_main(
     """
     L = ladder.num_levels
     zhat = np.ones(L)
-    n_per_stage = max(
-        1, math.ceil(params.constants.c_samples * L**2 * math.log(1.0 / confidence))
-    )
+    n_per_stage = _samples_per_stage(params, L, confidence)
     stages: list[StageStats] = []
     samples = None
     records = []
@@ -494,7 +477,7 @@ def run_main(
             attempts += 1
             if rec.accepted:
                 accepted += 1
-                got.append(rec.final_state.position)
+                got.append(rec.positions[-1].copy())  # lets the record be freed
                 if ell == L and keep_final_records:
                     records.append(rec)
             if attempts >= attempt_floor:

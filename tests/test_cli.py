@@ -137,6 +137,24 @@ class TestConfigValidation:
                     "overrides.total_time"):
             assert key in err
 
+    @pytest.mark.parametrize("mode", ["sample", "baseline-compare"])
+    def test_overlong_staging_is_refused_before_sampling(self, tmp_path, capsys, mode):
+        # 2e8 steps per staged run pass the per-run cap, but staging needs
+        # 192 kept runs at each of 7 stages plus the final run: ~2.7e11 steps
+        cfg = write_config(tmp_path, {
+            "version": 1, "seed": 1, "fixture": "two-mode-symmetric",
+            "overrides": {"total_time": 1e7, "step_size": 0.05},
+        })
+        start = time.perf_counter()
+        code = main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        for key in ("schedule.c_samples", "overrides.step_size",
+                    "schedule.c_time or overrides.total_time"):
+            assert key in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     @pytest.mark.parametrize("mode, block", [("sample", "sample"), ("baseline-compare", "baseline")])
     def test_overlong_main_run_is_refused(self, tmp_path, capsys, mode, block):
         doc = {k: v for k, v in sample_config().items() if k != "sample"}

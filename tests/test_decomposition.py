@@ -397,27 +397,6 @@ class TestDiscreteDivergences:
         q = np.array([0.2, 0.8])
         assert overlap_discrete(p, q) == 0.4
 
-    def test_overlap_scale(self):
-        p = np.array([0.8, 0.2])
-        q = np.array([0.2, 0.8])
-        # scale 4: min(3.2, .2) + min(.8, .8) = 1.0
-        assert overlap_discrete(p, q, scale=4.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="scale"):
-            overlap_discrete(p, q, scale=0.0)
-
-    def test_overlap_flow_symmetry(self):
-        # a * overlap(p', p, c'/c) == c' * overlap(p, p', c/c') for masses c, c'
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            p = rng.uniform(0.05, 1.0, 5)
-            p /= p.sum()
-            q = rng.uniform(0.05, 1.0, 5)
-            q /= q.sum()
-            a, b = rng.uniform(0.2, 2.0, 2)
-            lhs = a * overlap_discrete(q, p, scale=b / a)
-            rhs = b * overlap_discrete(p, q, scale=a / b)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
 
 # ---------------------------------------------------------------------------
 # tempering chain
@@ -982,6 +961,28 @@ class TestInstanceHashing:
         x = np.arange(4.0)
         y = np.arange(4.0)[::-1]
         assert instance_hash(x, y) != instance_hash(y, x)
+
+    def test_random_densities_equal_the_per_component_masses(self):
+        # replay each builder's draws; every density row is gauss_masses, bit for bit
+        for seed in range(20):
+            inst = random_simple_instance(np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            rng.integers(24, 65)
+            m = int(rng.integers(1, 4))
+            centers, sigmas = rng.uniform(-2.0, 2.0, m), rng.uniform(0.6, 1.5, m)
+            for j in range(m):
+                np.testing.assert_array_equal(
+                    inst.densities[j], gauss_masses(inst.grid, centers[j], sigmas[j]))
+            inst = random_tempering_instance(np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            rng.integers(48, 65)
+            rng.uniform(0.05, 0.3)
+            centers, sigmas = rng.uniform(-2.5, 2.5, 2), rng.uniform(0.6, 1.2, 2)
+            for i, beta in enumerate(inst.betas):
+                for j in range(2):
+                    np.testing.assert_array_equal(
+                        inst.densities[i, j],
+                        gauss_masses(inst.grid, centers[j], sigmas[j], beta))
 
     def test_random_simple_instance_ranges(self):
         rng = np.random.default_rng(53)

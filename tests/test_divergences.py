@@ -13,19 +13,15 @@ import pytest
 from temperlab import (
     INFINITY,
     CheckReport,
-    CoverageError,
     NormalizationError,
     QuadratureGrid,
     chi2_gaussian,
-    chi2_max_gaussian,
-    chi2_max_numeric,
     chi2_numeric,
     check_partition_ratio_bound,
     check_temp_scaling_bounds,
     get_fixture,
     kl_mixture_upper_bound_check,
     kl_numeric,
-    overlap_delta,
 )
 
 
@@ -78,12 +74,6 @@ class TestQuadratureGrid:
         grid = QuadratureGrid.for_gaussians([[-3.0], [5.0]], [1.0, 2.0])
         (lo, hi), = grid.bounds
         assert lo <= -3.0 - 8.0 and hi >= 5.0 + 16.0
-        grid.check_coverage([[-3.0], [5.0]], [1.0, 2.0])
-
-    def test_coverage_error_when_box_too_small(self):
-        grid = QuadratureGrid.build([(-4.0, 4.0)], nodes_per_axis=64)
-        with pytest.raises(CoverageError):
-            grid.check_coverage([[0.0]], [1.0])
 
     def test_dimension_and_size_limits(self):
         with pytest.raises(ValueError):
@@ -163,22 +153,6 @@ def test_chi2_never_negative_numerically():
     assert chi2_numeric(p, p, grid) >= 0.0
 
 
-def test_max_is_symmetric_and_dominates():
-    mq, sq, mp, sp = 0.4, 1.0, 0.0, 1.3
-    a = chi2_gaussian([mq], [[sq**2]], [mp], [[sp**2]])
-    b = chi2_gaussian([mp], [[sp**2]], [mq], [[sq**2]])
-    m = chi2_max_gaussian([mq], [[sq**2]], [mp], [[sp**2]])
-    assert m == max(a, b)
-    assert m == chi2_max_gaussian([mp], [[sp**2]], [mq], [[sq**2]])
-    # the heavier-tailed direction integrates exp(-0.18 x^2) terms, so the
-    # box must reach well past the usual eight sigma
-    grid = QuadratureGrid.for_gaussians(
-        [[mq], [mp]], [sq, sp], nodes_per_axis=1400, rule="gauss-legendre", span=14.0
-    )
-    m_num = chi2_max_numeric(gauss_pdf(mq, sq), gauss_pdf(mp, sp), grid)
-    assert m_num == pytest.approx(m, rel=1e-5)
-
-
 def test_same_variance_shift_formula():
     # equal covariances: 1 + chi^2 = exp(shift^2 / sigma^2)
     s2 = 1.7
@@ -225,44 +199,6 @@ def test_kl_support_violation_infinite():
     # the reverse direction is finite: 0 * log 0 contributes nothing
     val = kl_numeric(clipped, gauss_pdf(0.0, 1.0), grid)
     assert val == pytest.approx(math.log(2.0), abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# overlap
-
-
-def test_overlap_two_unit_gaussians():
-    # means 2a apart, unit sigma: integral of min(p, q) = 2 Phi(-a)
-    a = 1.0
-    grid = QuadratureGrid.for_gaussians(
-        [[-a], [a]], [1.0, 1.0], nodes_per_axis=1500, rule="gauss-legendre"
-    )
-    got = overlap_delta(gauss_pdf(-a, 1.0), gauss_pdf(a, 1.0), grid)
-    expect = math.erfc(a / math.sqrt(2.0))
-    assert got == pytest.approx(expect, abs=1e-9)
-
-
-def test_overlap_scale_saturates():
-    grid = QuadratureGrid.for_gaussians([[0.0]], [1.0], nodes_per_axis=900, rule="gauss-legendre")
-    p = gauss_pdf(0.0, 1.0)
-    assert overlap_delta(p, p, grid, scale=2.0) == pytest.approx(1.0, abs=1e-10)
-    assert overlap_delta(p, p, grid, scale=0.5) == pytest.approx(0.5, abs=1e-10)
-
-
-def test_overlap_flow_symmetry():
-    # r w * integral min((r'w'/rw) p', p) is symmetric in the two labels
-    rng = np.random.default_rng(40)
-    for _ in range(20):
-        m1, m2 = rng.uniform(-2, 2, 2)
-        s1, s2 = rng.uniform(0.7, 1.5, 2)
-        a, b = rng.uniform(0.1, 2.0, 2)  # the products r_i w_{i,j}
-        grid = QuadratureGrid.for_gaussians(
-            [[m1], [m2]], [s1, s2], nodes_per_axis=900, rule="gauss-legendre"
-        )
-        p1, p2 = gauss_pdf(m1, s1), gauss_pdf(m2, s2)
-        lhs = a * overlap_delta(p2, p1, grid, scale=b / a)
-        rhs = b * overlap_delta(p1, p2, grid, scale=a / b)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

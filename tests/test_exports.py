@@ -1,0 +1,34 @@
+"""The package surface: every exported name exists where it is declared."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import temperlab
+
+MODULES = ("cli", "decomposition", "diagnostics", "divergences", "fixtures", "ladder",
+           "oracles", "sampler")
+
+
+def _reexports():
+    """(module, name) for each `from .module import name` in the package init."""
+    tree = ast.parse(Path(temperlab.__file__).read_text())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_exists(module):
+    mod = importlib.import_module(f"temperlab.{module}")
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def test_package_reexports_only_public_names():
+    pairs = _reexports()
+    assert pairs
+    stray = [(m, n) for m, n in pairs
+             if not n.startswith("_") and n not in importlib.import_module(f"temperlab.{m}").__all__]
+    assert stray == []

@@ -25,7 +25,7 @@ def test_gaussian_schedule_frozen_shape():
     assert ladder.betas[-1] == 1.0
     assert ladder.num_levels == 16
     expected_ratio = 1.0 + 1.0 / (2 + math.log(2.0))
-    assert ladder.ratio_bound == pytest.approx(expected_ratio, rel=1e-14)
+    assert ladder.betas[1] / ladder.betas[0] == pytest.approx(expected_ratio, rel=1e-14)
     assert params.swap_rate == pytest.approx(1.0 / 100.0)
     assert params.init_std == pytest.approx(1.0 / math.sqrt(ladder.betas[0]))
     assert params.eta_active in ("diffusion", "spread", "drift")
@@ -47,8 +47,9 @@ def test_betas_strictly_increasing_and_bounded():
         assert np.all(np.diff(b) > 0)
         assert b[-1] == 1.0
         assert 0 < b[0] <= 1
-        # every step respects the published ratio bound
-        assert np.all(b[1:] / b[:-1] <= ladder.ratio_bound * (1 + 1e-12))
+        # every step respects the schedule's ratio bound
+        ratio = 1.0 + 1.0 / (3 + math.log(1.0 / 0.25))
+        assert np.all(b[1:] / b[:-1] <= ratio * (1 + 1e-12))
 
 
 def test_ratio_product_telescopes():
@@ -110,7 +111,7 @@ class TestLogconcaveSchedule:
             dim=d, D=8.0, kappa=kappa, K=K, w_min=0.5, target_accuracy=0.1
         )
         expect = 1.0 + kappa / (K * d * (math.log(K / kappa) + 1.0))
-        assert ladder.ratio_bound == pytest.approx(expect, rel=1e-12)
+        assert ladder.betas[1] / ladder.betas[0] == pytest.approx(expect, rel=1e-12)
 
     def test_spread_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -142,7 +143,6 @@ class TestLadderType:
         sub = ladder.prefix(3)
         np.testing.assert_array_equal(sub.betas, ladder.betas[:3])
         assert sub.num_levels == 3
-        np.testing.assert_allclose(sub.rel_probs, np.full(3, 1 / 3))
 
     def test_prefix_full_length_is_complete(self):
         ladder = self.build()
@@ -168,18 +168,14 @@ class TestLadderType:
         with pytest.raises(ValueError):
             TemperatureLadder(
                 betas=np.array([0.5, 0.4, 1.0]),
-                rel_probs=np.full(3, 1 / 3),
                 partition_estimates=np.ones(3),
-                ratio_bound=2.0,
             )
 
     def test_rejects_cold_end_not_one(self):
         with pytest.raises(ValueError):
             TemperatureLadder(
                 betas=np.array([0.25, 0.5]),
-                rel_probs=np.array([0.5, 0.5]),
                 partition_estimates=np.ones(2),
-                ratio_bound=2.1,
             )
 
 
@@ -217,9 +213,7 @@ class TestPartitionEnvelope:
         betas = np.array([2.0 ** (i - L + 1) for i in range(L)])
         return TemperatureLadder(
             betas=betas,
-            rel_probs=np.full(L, 1.0 / L),
             partition_estimates=np.ones(L),
-            ratio_bound=2.5,
         )
 
     def test_exact_values_pass(self):

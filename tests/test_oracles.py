@@ -384,8 +384,8 @@ class TestPerturbedOracle:
         po = PerturbedOracle(fx.oracle, pert)
         x = np.array([1.1])
         assert abs(po.value(x) - (fx.oracle.value(x) + 0.2 * math.sin(1.1))) < 1e-14
-        assert abs(po.delta - 0.2) < 1e-15
-        assert abs(po.tau - 0.2) < 1e-15
+        assert abs(pert.delta - 0.2) < 1e-15
+        assert abs(pert.tau - 0.2) < 1e-15
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):

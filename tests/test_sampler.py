@@ -22,7 +22,6 @@ from temperlab import (
     RunParams,
     ScheduleConstants,
     TemperatureLadder,
-    TemperingState,
     build_ladder_gaussian,
     draw_swap_times,
     estimate_partition_ratio,
@@ -69,9 +68,7 @@ def flat_oracle(dim=1):
 def two_level_ladder(beta1=0.3, z2=0.4):
     return TemperatureLadder(
         betas=np.array([beta1, 1.0]),
-        rel_probs=np.array([0.5, 0.5]),
         partition_estimates=np.array([1.0, z2]),
-        ratio_bound=1.0 / beta1 + 1.0,
     )
 
 
@@ -123,6 +120,28 @@ def test_non_finite_gradient_carries_position():
     with pytest.raises(NonFiniteGradient) as err:
         langevin_step(orc, 1.0, where, 0.1, ZeroNoiseRng())
     np.testing.assert_array_equal(err.value.position, where)
+
+
+def _plain_run(orc):
+    return run_plain_langevin(orc, 1.0, 4.0, 3, np.zeros(1), ZeroNoiseRng())
+
+
+def _tempering_run(orc):
+    ladder = TemperatureLadder(betas=np.array([1.0]), partition_estimates=np.array([1.0]))
+    params = RunParams(swap_rate=1e-12, step_size=4.0, total_time=12.0, init_std=1.0,
+                       target_accuracy=0.5)
+    return run_stlmc(orc, ladder, params, ZeroNoiseRng(), thin=1)
+
+
+@pytest.mark.parametrize("run", [_plain_run, _tempering_run], ids=["plain", "stlmc"])
+@pytest.mark.parametrize("grad", [math.nan, -1e308], ids=["nan-gradient", "overflow"])
+def test_runners_stop_at_the_last_finite_position(run, grad):
+    # both runners start at 0 with zero noise and step 4; a gradient of
+    # -1e308 is finite but moves the position past the largest float
+    orc = FunctionOracle(value_fn=lambda x: 0.0, grad_fn=lambda x: np.full(1, grad), dim=1)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradient) as err:
+        run(orc)
+    np.testing.assert_array_equal(err.value.position, np.zeros(1))
 
 
 def test_ou_stationary_variance_matches_independent_simulation():
@@ -227,11 +246,10 @@ def test_swap_preserves_position_and_oob_counts():
     orc = quadratic_oracle(dim=1)
     stats = SwapStats()
     pos = np.array([1.5])
-    state = TemperingState(level=2, position=pos)
     # uniform 0.75 -> proposes up, which is out of bounds at the top
-    out = swap_attempt(state, ladder, orc, ZeroNoiseRng(0.75), stats)
-    assert out.level == 2
-    np.testing.assert_array_equal(out.position, pos)
+    out = swap_attempt(2, pos, ladder, orc, ZeroNoiseRng(0.75), stats)
+    assert out == 2
+    np.testing.assert_array_equal(pos, [1.5])
     assert stats.out_of_bounds == 1
     assert stats.attempts == 1
     assert stats.accepts == 0
@@ -240,16 +258,14 @@ def test_swap_preserves_position_and_oob_counts():
 def test_swap_single_level_never_moves():
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        rel_probs=np.array([1.0]),
         partition_estimates=np.array([1.0]),
-        ratio_bound=2.0,
     )
     orc = quadratic_oracle(dim=1)
     rng = RngStream(2)
-    state = TemperingState(level=1, position=np.zeros(1))
+    level = 1
     for _ in range(100):
-        state = swap_attempt(state, ladder, orc, rng)
-        assert state.level == 1
+        level = swap_attempt(level, np.zeros(1), ladder, orc, rng)
+        assert level == 1
 
 
 def test_swap_equal_levels_always_accept():
@@ -262,16 +278,16 @@ def test_swap_equal_levels_always_accept():
     orc = quadratic_oracle(dim=1)
     rng = RngStream(3)
     ups = 0
-    state = TemperingState(level=1, position=np.array([2.0]))
+    x = np.array([2.0])
     for _ in range(500):
-        nxt = swap_attempt(state, ladder, orc, rng)
-        if nxt.level == 2:
+        nxt = swap_attempt(1, x, ladder, orc, rng)
+        if nxt == 2:
             ups += 1
     # every in-bounds proposal (about half of them) must be accepted
     assert ups > 0
     stats = SwapStats()
     for _ in range(500):
-        swap_attempt(state, ladder, orc, rng, stats)
+        swap_attempt(1, x, ladder, orc, rng, stats)
     assert stats.accepts_up == stats.attempts_up
 
 
@@ -281,16 +297,14 @@ def test_swap_zero_potential_reduces_to_estimate_ratio():
     orc = flat_oracle()
     rng = RngStream(11)
     stats = SwapStats()
-    state = TemperingState(level=1, position=np.zeros(1))
     for _ in range(40_000):
-        swap_attempt(state, ladder, orc, rng, stats)
+        swap_attempt(1, np.zeros(1), ladder, orc, rng, stats)
     p_expect = min(1.0, 1.0 / 0.4)  # zhat_1/zhat_2 > 1, so always accept
     assert stats.accepts_up == stats.attempts_up
     assert p_expect == 1.0
-    down_state = TemperingState(level=2, position=np.zeros(1))
     stats2 = SwapStats()
     for _ in range(40_000):
-        swap_attempt(down_state, ladder, orc, rng, stats2)
+        swap_attempt(2, np.zeros(1), ladder, orc, rng, stats2)
     p_expect = min(1.0, 0.4 / 1.0)
     freq = stats2.accepts_down / stats2.attempts_down
     se = math.sqrt(p_expect * (1 - p_expect) / stats2.attempts_down)
@@ -305,9 +319,8 @@ def test_swap_acceptance_matches_analytic_ratio():
     p_up = min(1.0, math.exp((0.3 - 1.0) * fx) * 1.0 / 0.4)
     rng = RngStream(13)
     stats = SwapStats()
-    state = TemperingState(level=1, position=x)
     for _ in range(100_000):
-        swap_attempt(state, ladder, orc, rng, stats)
+        swap_attempt(1, x, ladder, orc, rng, stats)
     freq = stats.accepts_up / stats.attempts_up
     se = math.sqrt(p_up * (1 - p_up) / stats.attempts_up)
     assert 0.0 < p_up < 1.0
@@ -324,11 +337,9 @@ def test_swap_detailed_balance_at_frozen_position():
     n = 60_000
     rng = RngStream(19)
     s1, s2 = SwapStats(), SwapStats()
-    st1 = TemperingState(level=1, position=x)
-    st2 = TemperingState(level=2, position=x)
     for _ in range(n):
-        swap_attempt(st1, ladder, orc, rng, s1)
-        swap_attempt(st2, ladder, orc, rng, s2)
+        swap_attempt(1, x, ladder, orc, rng, s1)
+        swap_attempt(2, x, ladder, orc, rng, s2)
     a12 = s1.accepts_up / s1.attempts_up
     a21 = s2.accepts_down / s2.attempts_down
     pi1 = math.exp(-0.25 * fx) / 1.0
@@ -368,7 +379,7 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(a.levels, b.levels)
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.steps, b.steps)
-    assert a.final_state.level == b.final_state.level
+    assert a.levels[-1] == b.levels[-1]
 
 
 def test_record_structure_invariants():
@@ -411,10 +422,7 @@ def test_trajectory_replays_from_single_steps():
                 rows.append((seg_start + (j + 1) * h, level, x.copy()))
         seg_start = seg_end
         if k < events.size:
-            state = swap_attempt(
-                TemperingState(level=level, position=x), ladder, orc, rng
-            )
-            level = state.level
+            level = swap_attempt(level, x, ladder, orc, rng)
             rows.append((seg_end, level, x.copy()))
     rows.append((params.total_time, level, x.copy()))
 
@@ -422,8 +430,8 @@ def test_trajectory_replays_from_single_steps():
     expect_lev = np.array([r[1] for r in rows])
     np.testing.assert_array_equal(rec.positions[:, 0], expect_pos)
     np.testing.assert_array_equal(rec.levels, expect_lev)
-    assert rec.final_state.level == level
-    np.testing.assert_array_equal(rec.final_state.position, x)
+    assert rec.levels[-1] == level
+    np.testing.assert_array_equal(rec.positions[-1], x)
 
 
 def test_no_swaps_reduces_to_plain_langevin():
@@ -431,9 +439,7 @@ def test_no_swaps_reduces_to_plain_langevin():
     fx = get_fixture("single-gaussian")
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        rel_probs=np.array([1.0]),
         partition_estimates=np.array([1.0]),
-        ratio_bound=2.0,
     )
     params = RunParams(
         swap_rate=1e-12,
@@ -476,9 +482,7 @@ def test_long_segment_replays_across_noise_blocks():
     fx = get_fixture("single-gaussian")
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        rel_probs=np.array([1.0]),
         partition_estimates=np.array([1.0]),
-        ratio_bound=2.0,
     )
     params = RunParams(
         swap_rate=1e-12,
@@ -521,7 +525,7 @@ def test_plain_langevin_replays_across_noise_blocks():
     np.testing.assert_array_equal(rec.times, times)
     np.testing.assert_array_equal(rec.levels, np.ones(len(steps)))
     np.testing.assert_array_equal(rec.positions, np.array(xs))
-    np.testing.assert_array_equal(rec.final_state.position, x)
+    np.testing.assert_array_equal(rec.positions[-1], x)
 
 def test_single_level_long_run_moments():
     # standard Gaussian target at beta = 1; the run is plain Langevin plus
@@ -530,9 +534,7 @@ def test_single_level_long_run_moments():
     eta = 0.05
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        rel_probs=np.array([1.0]),
         partition_estimates=np.array([1.0]),
-        ratio_bound=2.0,
     )
     params = RunParams(
         swap_rate=0.01,
@@ -553,14 +555,13 @@ def test_single_level_long_run_moments():
 
 
 def test_level_occupancy_uniform_with_exact_partition():
-    # with exact Z the level marginal is the uniform rel_probs; the final
+    # with exact Z the level marginal is uniform over the levels; the final
     # levels of independent runs give a chi-squared goodness-of-fit check
     orc, ladder, params = small_gaussian_setup(total_time=40.0, eta=0.1, lam=1.0)
     seeds = range(300)
     finals = np.array(
         [
-            run_stlmc(orc, ladder, params, RngStream(1000 + s), thin=10**9)
-            .final_state.level
+            run_stlmc(orc, ladder, params, RngStream(1000 + s), thin=10**9).levels[-1]
             for s in seeds
         ]
     )
@@ -574,7 +575,7 @@ def test_level_occupancy_uniform_with_exact_partition():
 def test_accept_flag_tracks_target_level():
     orc, ladder, params = small_gaussian_setup(total_time=10.0)
     rec = run_stlmc(orc, ladder, params, RngStream(5), target_level=2)
-    assert rec.accepted == (rec.final_state.level == 2)
+    assert rec.accepted == (rec.levels[-1] == 2)
     assert rec.target_level == 2
 
 
@@ -718,4 +719,4 @@ def test_final_records_kept_on_request():
     assert len(result.final_records) == 2
     for rec in result.final_records:
         assert rec.accepted
-        assert rec.final_state.level == 2
+        assert rec.levels[-1] == 2
