@@ -358,6 +358,18 @@ def _mode_verify_decomposition(config: dict, out_dir: Path, jobs: int) -> bool:
 # verify-divergences
 
 
+def _gaussian_log_density(mean, sigma):
+    """log N(x; mean, diag(sigma^2)) on points shaped (N,) or (N, d)."""
+    mean, sigma = np.atleast_1d(mean, sigma)
+    lognorm = np.sum(np.log(sigma)) + 0.5 * mean.size * math.log(2.0 * math.pi)
+
+    def log_density(x):
+        z = (np.asarray(x, dtype=float).reshape(-1, mean.size) - mean) / sigma
+        return -0.5 * np.sum(z**2, axis=1) - lognorm
+
+    return log_density
+
+
 def _gaussian_pair_cases(rng: np.random.Generator, count: int, rel_tol: float) -> dict:
     """Closed-form Gaussian chi-squared against quadrature, `count` pairs."""
     worst = 0.0
@@ -381,17 +393,8 @@ def _gaussian_pair_cases(rng: np.random.Generator, count: int, rel_tol: float) -
         grid = dv.QuadratureGrid.for_gaussians(
             means, spreads, nodes_per_axis=640 if d == 1 else 192
         )
-
-        def gauss(mean, sig):
-            def f(x):
-                pts = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, d))
-                z = (pts - mean[None, :]) / sig[None, :]
-                lognorm = np.sum(np.log(sig)) + 0.5 * d * math.log(2.0 * math.pi)
-                return np.exp(-0.5 * np.sum(z**2, axis=1) - lognorm)
-
-            return f
-
-        numeric = dv.chi2_numeric(gauss(mq, sq), gauss(mp, sp), grid)
+        log_q, log_p = _gaussian_log_density(mq, sq), _gaussian_log_density(mp, sp)
+        numeric = dv.chi2_numeric(log_q, log_p, grid)
         rel = abs(numeric - closed) / max(closed, 1e-12)
         worst = max(worst, rel)
         cases.append({"dim": d, "closed": closed, "numeric": numeric, "rel_err": rel})
@@ -453,19 +456,11 @@ def _mode_verify_divergences(config: dict, out_dir: Path) -> bool:
             float(max(sig_p.max(), sig_q.max())),
             nodes_per_axis=512,
         )
-
-        def g1(mean, sig):
-            def f(x):
-                z = (np.asarray(x, dtype=float).reshape(-1) - mean) / sig
-                return np.exp(-0.5 * z**2) / (sig * math.sqrt(2.0 * math.pi))
-
-            return f
-
         rep = dv.kl_mixture_upper_bound_check(
             [wp, 1.0 - wp],
-            [g1(means_p[0], sig_p[0]), g1(means_p[1], sig_p[1])],
+            [_gaussian_log_density(mu, s) for mu, s in zip(means_p, sig_p)],
             [wq, 1.0 - wq],
-            [g1(means_q[0], sig_q[0]), g1(means_q[1], sig_q[1])],
+            [_gaussian_log_density(mu, s) for mu, s in zip(means_q, sig_q)],
             grid,
         )
         checks.append(rep.to_dict())
@@ -490,13 +485,12 @@ def _mode_baseline_compare(config: dict, out_dir: Path) -> bool:
     if target is None or target.dim != 1 or target.m < 2:
         raise ConfigError("baseline-compare needs a 1-d mixture fixture with >= 2 modes")
     b = config.get("baseline", {})
-    thin = b.get("thin", 1)
-    ladder, long_params, _, rec, rng = _staged_long_run(fixture, config, "baseline", thin)
-    samples = rec.positions_at_level(ladder.num_levels)
-
     start_idx = b.get("start_center", target.m - 1)
     if start_idx >= target.m:
         raise ConfigError(f"start_center must index one of the {target.m} centers")
+    thin = b.get("thin", 1)
+    ladder, long_params, _, rec, rng = _staged_long_run(fixture, config, "baseline", thin)
+    samples = rec.positions_at_level(ladder.num_levels)
     x0 = target.centers[start_idx]
     base_rec = run_plain_langevin(
         fixture.oracle,

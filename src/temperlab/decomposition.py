@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .divergences import _jsonable
+from .oracles import _softmax
 
 __all__ = [
     "MAX_STATES",
@@ -765,9 +766,7 @@ def random_simple_instance(rng: np.random.Generator) -> SimpleInstance:
     w = rng.uniform(0.1, 1.0, m)
     w = w / w.sum()
     logmass = -0.5 * ((grid[None, :] - centers[:, None]) / sigmas[:, None]) ** 2
-    mass = np.exp(logmass - logmass.max(axis=1, keepdims=True))
-    dens = mass / mass.sum(axis=1, keepdims=True)
-    return SimpleInstance(grid=grid, weights=w, densities=dens, base_rate=1.0 / h**2)
+    return SimpleInstance(grid=grid, weights=w, densities=_softmax(logmass), base_rate=1.0 / h**2)
 
 
 def random_tempering_instance(
@@ -788,8 +787,6 @@ def random_tempering_instance(
     sigmas = rng.uniform(0.6, 1.2, m)
     logmass = -betas[:, None, None] * 0.5 * (
         (grid[None, None, :] - centers[None, :, None]) / sigmas[None, :, None]) ** 2
-    mass = np.exp(logmass - logmass.max(axis=2, keepdims=True))
-    dens = mass / mass.sum(axis=2, keepdims=True)
     cw = rng.uniform(0.1, 1.0, (L, m))
     cw = cw / cw.sum(axis=1, keepdims=True)
     rel = np.full(L, 1.0 / L)
@@ -799,7 +796,7 @@ def random_tempering_instance(
         betas=betas,
         rel_probs=rel,
         comp_weights=cw,
-        densities=dens,
+        densities=_softmax(logmass),
         swap_rate=lam,
         swap_strength=float(rng.choice(np.asarray(strength_choices, dtype=float))),
     )

@@ -20,7 +20,6 @@ from .oracles import (
     MixtureTarget,
     _component_energies,
     _logsumexp,
-    _logsumexp_rows,
     mixture_log_density_many,
 )
 
@@ -73,8 +72,8 @@ def _axis_nodes(lo: float, hi: float, n: int, rule: str):
 class QuadratureGrid:
     """Deterministic integration grid on an axis-aligned box, dim 1 or 2.
 
-    Density callables receive points shaped (N,) in one dimension and (N, 2)
-    in two, and must return (N,) values.
+    Callables receive points shaped (N,) in one dimension and (N, 2) in two,
+    and must return (N,) values; the divergences take log-densities.
     """
 
     dim: int
@@ -137,20 +136,17 @@ class QuadratureGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-def _normalized(grid: QuadratureGrid, density, tol: float = 1e-4, name: str = "density"):
-    vals = grid.evaluate(density) if callable(density) else np.asarray(density, float)
-    if np.any(vals < 0):
-        floor = float(vals.min())
-        if floor < -1e-12:
-            raise ValueError(f"{name} takes negative values (min {floor:.3g})")
-        vals = np.maximum(vals, 0.0)
-    mass = grid.integrate(vals)
-    if not math.isfinite(mass) or abs(mass - 1.0) > tol:
+def _log_normalized(grid: QuadratureGrid, log_density, tol: float = 1e-4, name: str = "density"):
+    """log(p_i w_i), the log of the probability the density puts on node i,
+    after checking that it integrates to 1 within tol on the grid."""
+    log_mass = grid.evaluate(log_density) + np.log(grid.weights)
+    total = _logsumexp(log_mass)
+    if not math.log1p(-tol) <= total <= math.log1p(tol):
         raise NormalizationError(
-            f"{name} integrates to {mass!r} on the grid, outside 1 +- {tol}; "
+            f"{name} integrates to exp({total!r}) on the grid, outside 1 +- {tol}; "
             "the grid likely misses mass or the density is wrong"
         )
-    return vals / mass
+    return log_mass - total
 
 
 # ---------------------------------------------------------------------------
@@ -219,35 +215,32 @@ def chi2_gaussian(mean_q, cov_q, mean_p, cov_p) -> float:
     return float(np.expm1(logval))
 
 
-def chi2_numeric(q_density, p_density, grid: QuadratureGrid) -> float:
-    """chi^2(Q || P) = int q^2/p - 1 by quadrature; inf off P's support."""
-    q = _normalized(grid, q_density, name="q")
-    p = _normalized(grid, p_density, name="p")
-    off = p <= 0.0
-    if np.any(q[off] > 1e-300):
-        return INFINITY
-    ratio = np.zeros_like(q)
-    on = ~off
-    ratio[on] = q[on] ** 2 / p[on]
-    val = grid.integrate(ratio) - 1.0
+def chi2_numeric(log_q, log_p, grid: QuadratureGrid) -> float:
+    """chi^2(Q || P) = int q^2/p - 1 by quadrature on log-densities.
+
+    Summed as expm1(logsumexp(2 log q - log p + log w)) over the nodes where
+    q > 0, so neither density can underflow; q > 0 where p = 0 gives inf.
+    """
+    a = _log_normalized(grid, log_q, name="q")
+    b = _log_normalized(grid, log_p, name="p")
+    on = a > -np.inf
+    with np.errstate(over="ignore"):  # past e^709 the divergence is inf
+        val = float(np.expm1(_logsumexp(2.0 * a[on] - b[on])))
     # roundoff can push an exact zero a hair negative
     return max(val, 0.0)
 
 
-def kl_numeric(p_density, q_density, grid: QuadratureGrid) -> float:
-    """KL(P || Q) by quadrature with 0 log 0 = 0; inf off Q's support."""
-    p = _normalized(grid, p_density, name="p")
-    return _kl(p, _normalized(grid, q_density, name="q"), grid)
+def kl_numeric(log_p, log_q, grid: QuadratureGrid) -> float:
+    """KL(P || Q) by quadrature on log-densities; inf off Q's support."""
+    return _kl(_log_normalized(grid, log_p, name="p"), _log_normalized(grid, log_q, name="q"))
 
 
-def _kl(p: np.ndarray, q: np.ndarray, grid: QuadratureGrid) -> float:
-    """KL between two densities already normalized on the grid's nodes."""
-    if np.any((p > 1e-300) & (q <= 0.0)):
-        return INFINITY
+def _kl(a: np.ndarray, b: np.ndarray) -> float:
+    """KL from two _log_normalized arrays: 0 log 0 = 0 where P's node
+    probability is 0 in floating point, inf where only Q's is."""
+    p = np.exp(a)
     on = p > 0.0
-    terms = np.zeros_like(p)
-    terms[on] = p[on] * (np.log(p[on]) - np.log(q[on]))
-    return grid.integrate(terms)
+    return float(np.sum(p[on] * (a[on] - b[on])))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +316,10 @@ def check_temp_scaling_bounds(
     violations = 0
     cases = 0
     base_vals = _component_energies(target, points)  # (n, m)
-    f_mix = -_logsumexp_rows(log_w[None, :] - base_vals)  # the mixture's f, (n,)
+    f_mix = -_logsumexp(log_w[None, :] - base_vals)  # the mixture's f, (n,)
     for beta in betas:
         log_g = -beta * f_mix
-        log_gt = _logsumexp_rows(log_w[None, :] - beta * base_vals)
+        log_gt = _logsumexp(log_w[None, :] - beta * base_vals)
         lower = log_g - log_gt
         upper = (log_gt - log_wmin) - log_g
         m = float(min(lower.min(), upper.min()))
@@ -341,14 +334,6 @@ def check_temp_scaling_bounds(
         passed=violations == 0,
         details={"betas": betas, "num_points": len(base_vals)},
     )
-
-
-def _log_partition_quadrature(target: MixtureTarget, beta: float, grid: QuadratureGrid) -> float:
-    if grid.dim != target.dim:
-        raise ValueError("grid dimension disagrees with the target")
-    f = mixture_log_density_many(target, np.atleast_2d(grid.points.reshape(-1, target.dim)))
-    logw = np.log(grid.weights)
-    return _logsumexp(logw - beta * f)
 
 
 def check_partition_ratio_bound(
@@ -371,6 +356,8 @@ def check_partition_ratio_bound(
     """
     if not 0 < alpha <= beta <= 1.0:
         raise ValueError("need 0 < alpha <= beta <= 1")
+    if grid.dim != target.dim:
+        raise ValueError("grid dimension disagrees with the target")
     d = target.dim
     D = target.scale_bound()
     wm = target.w_min
@@ -384,9 +371,10 @@ def check_partition_ratio_bound(
             math.sqrt(d) + math.sqrt(d * math.log(K / kap) + 2.0 * math.log(2.0 / wm))
         ) / math.sqrt(alpha * kap)
         log_lower = math.log(0.5) - 0.5 * (beta - alpha) * K * reach**2
-    log_ratio = _log_partition_quadrature(target, beta, grid) - _log_partition_quadrature(
-        target, alpha, grid
-    )
+    # log Z_beta - log Z_alpha, both over the same grid values of f
+    f = mixture_log_density_many(target, grid.points.reshape(-1, d))
+    log_w = np.log(grid.weights)
+    log_ratio = _logsumexp(log_w - beta * f) - _logsumexp(log_w - alpha * f)
     upper_margin = -log_ratio + rtol  # log 1 - log ratio
     lower_margin = log_ratio - log_lower + rtol
     worst = float(min(upper_margin, lower_margin))
@@ -408,36 +396,35 @@ def check_partition_ratio_bound(
 
 def kl_mixture_upper_bound_check(
     weights_p,
-    comps_p,
+    log_comps_p,
     weights_q,
-    comps_q,
+    log_comps_q,
     grid: QuadratureGrid,
     tol: float = 1e-6,
 ) -> CheckReport:
     """KL between mixtures against the weight-plus-components upper bound.
 
     KL(sum w_i P_i || sum w'_i Q_i) <= KL(w || w') + sum_i w_i KL(P_i || Q_i).
-    Components are paired by index.  An infinite right-hand side makes the
-    check vacuously true.
+    Components are log-density callables, paired by index.  An infinite
+    right-hand side makes the check vacuously true.
     """
     wp = np.asarray(weights_p, dtype=float)
     wq = np.asarray(weights_q, dtype=float)
     if wp.shape != wq.shape or wp.ndim != 1:
         raise ValueError("weight vectors must be 1-d and the same length")
-    if len(comps_p) != wp.size or len(comps_q) != wq.size:
+    if len(log_comps_p) != wp.size or len(log_comps_q) != wq.size:
         raise ValueError("need one component per weight")
     if np.any(wp <= 0) or np.any(wq <= 0):
         raise ValueError("weights must be positive")
     if abs(wp.sum() - 1.0) > 1e-12 or abs(wq.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
 
-    P = [_normalized(grid, c, name=f"P[{i}]") for i, c in enumerate(comps_p)]
-    Q = [_normalized(grid, c, name=f"Q[{i}]") for i, c in enumerate(comps_q)]
-    p_mix = sum(w * v for w, v in zip(wp, P))
-    q_mix = sum(w * v for w, v in zip(wq, Q))
-    lhs = _kl(p_mix, q_mix, grid)
-    kl_w = float(np.sum(wp * (np.log(wp) - np.log(wq))))
-    comp_kls = [_kl(a, b, grid) for a, b in zip(P, Q)]
+    P = np.array([_log_normalized(grid, c, name=f"P[{i}]") for i, c in enumerate(log_comps_p)])
+    Q = np.array([_log_normalized(grid, c, name=f"Q[{i}]") for i, c in enumerate(log_comps_q)])
+    log_wp, log_wq = np.log(wp), np.log(wq)
+    lhs = _kl(_logsumexp(log_wp[:, None] + P, axis=0), _logsumexp(log_wq[:, None] + Q, axis=0))
+    kl_w = float(np.sum(wp * (log_wp - log_wq)))
+    comp_kls = [_kl(a, b) for a, b in zip(P, Q)]
     rhs = kl_w + float(np.sum(wp * np.asarray(comp_kls)))
     margin = rhs + tol - lhs if math.isfinite(rhs) else INFINITY
     passed = (not math.isfinite(rhs)) or lhs <= rhs + tol

@@ -50,18 +50,25 @@ class PartitionUnavailable(ValueError):
     """No closed-form partition value exists for the requested case."""
 
 
-def _logsumexp(a: np.ndarray) -> float:
+def _logsumexp(a, axis: int = -1):
+    """log sum exp(a) along `axis`, shifted by the max; a slice whose max is
+    -inf, +inf or nan gives that max.  A 1-d input is one sum and gives a float
+    logged with math.log, to which the oracle values and partition estimates
+    are pinned: numpy's SIMD log can differ from it in the last bit."""
     a = np.asarray(a, dtype=float)
-    m = float(np.max(a))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    if a.ndim == 1:
+        m = float(a.max())
+        return m + math.log(float(np.exp(a - m).sum())) if math.isfinite(m) else m
+    m = a.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)  # then a non-finite max comes out as itself
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.squeeze(m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), axis=axis)
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log sum_j exp(a_ij) for each row i of a, shape (n, m) -> (n,)."""
-    mx = a.max(axis=1)
-    return mx + np.log(np.sum(np.exp(a - mx[:, None]), axis=1))
+def _softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """exp(a) / sum exp(a) along `axis`, shifted by the max."""
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _as_vector(x, dim: int) -> np.ndarray:
@@ -209,29 +216,25 @@ def _component_energies(target: MixtureTarget, X) -> np.ndarray:
 def mixture_log_density(target: MixtureTarget, x) -> float:
     """f(x) = -log sum_j w_j exp(-f0(x - mu_j)), log-sum-exp stabilized."""
     x = _as_vector(x, target.dim)
-    vals = target.base.value_many(x[None, :] - target.centers)
-    return -_logsumexp(target._log_w - vals)
+    return -_logsumexp(target._log_w - target.base.value_many(x[None, :] - target.centers))
 
 
 def mixture_log_density_many(target: MixtureTarget, X: np.ndarray) -> np.ndarray:
     """f on rows of X, shape (n, d) -> (n,).  Batch twin of mixture_log_density."""
-    return -_logsumexp_rows(target._log_w - _component_energies(target, X))
+    return -_logsumexp(target._log_w - _component_energies(target, X))
 
 
 def mixture_softmax_weights(target: MixtureTarget, x) -> np.ndarray:
     """Posterior component weights w_j e^{-f0(x-mu_j)} / sum; they sum to 1."""
     x = _as_vector(x, target.dim)
-    a = target._log_w - target.base.value_many(x[None, :] - target.centers)
-    a -= np.max(a)
-    e = np.exp(a)
-    return e / e.sum()
+    return _softmax(target._log_w - target.base.value_many(x[None, :] - target.centers))
 
 
 def mixture_grad(target: MixtureTarget, x) -> np.ndarray:
     """grad f(x) = sum_j softmax_j(x) * grad f0(x - mu_j)."""
     x = _as_vector(x, target.dim)
     diffs = x[None, :] - target.centers
-    s = mixture_softmax_weights(target, x)
+    s = _softmax(target._log_w - target.base.value_many(diffs))
     return s @ target.base.grad_many(diffs)
 
 
@@ -386,10 +389,7 @@ class AdversarialTwoGaussian:
 
     def mixture_grad(self, x) -> np.ndarray:
         x = _as_vector(x, self.dim)
-        a = np.array([-self.f1_value(x), -self.f2_value(x)])
-        a -= a.max()
-        e = np.exp(a)
-        s = e / e.sum()
+        s = _softmax(np.array([-self.f1_value(x), -self.f2_value(x)]))
         return s[0] * self.f1_grad(x) + s[1] * self.f2_grad(x)
 
     def g_value(self, x) -> float:

@@ -168,6 +168,8 @@ def langevin_step(
 
     Draws exactly one standard-normal vector per call, in the order steps
     occur, so a caller replaying the stream reproduces positions bit for bit.
+    A step that lands on a non-finite position (a non-finite gradient, or an
+    overflow) raises NonFiniteGradient with x, as the runners do.
     """
     if eta <= 0:
         raise ValueError("eta must be > 0")
@@ -175,10 +177,10 @@ def langevin_step(
         raise ValueError("beta must be > 0")
     x = np.asarray(x, dtype=float)
     g = beta * np.asarray(oracle.grad(x), dtype=float)
-    if not np.all(np.isfinite(g)):
+    x_new = x - eta * g + math.sqrt(2.0 * eta) * rng.normal(x.shape)
+    if not np.all(np.isfinite(x_new)):
         raise NonFiniteGradient(x)
-    noise = rng.normal(x.shape)
-    return x - eta * g + math.sqrt(2.0 * eta) * noise
+    return x_new
 
 
 _NOISE_BLOCK = 4096  # most noise rows per rng call; bounds memory on long segments

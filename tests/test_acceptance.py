@@ -124,15 +124,16 @@ def test_criterion_03_canonical_path_poincare():
 
 
 def gauss_density(mean, cov):
+    """Log-density of N(mean, cov); the quadrature divergences take logs."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.size
     C = np.atleast_2d(np.asarray(cov, dtype=float))
     inv = np.linalg.inv(C)
-    norm = 1.0 / math.sqrt((2.0 * math.pi) ** d * np.linalg.det(C))
+    log_norm = -0.5 * math.log((2.0 * math.pi) ** d * np.linalg.det(C))
 
     def density(x):
         X = np.asarray(x, dtype=float).reshape(-1, d) - mean
-        return norm * np.exp(-0.5 * np.einsum("nd,de,ne->n", X, inv, X))
+        return log_norm - 0.5 * np.einsum("nd,de,ne->n", X, inv, X)
 
     return density
 

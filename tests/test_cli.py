@@ -304,6 +304,17 @@ class TestVerifyDivergencesMode:
         assert "kl-mixture-upper-bound" in names
         assert "checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [1, 4, 11, 14])
+    def test_default_config_passes_where_p_underflows(self, tmp_path, seed):
+        # at these seeds some pairs have chi^2 of 1e18-1e32 and p underflows
+        # in linear space on part of their grid
+        cfg = write_config(tmp_path, {"version": 1, "seed": seed})
+        out = tmp_path / "div"
+        assert main(["--config", cfg, "--mode", "verify-divergences",
+                     "--out", str(out)]) == 0
+        chi2 = json.loads((out / "divergences_report.json").read_text())["checks"][0]
+        assert chi2["passed"] and max(c["closed"] for c in chi2["cases"]) > 1e18
+
 
 class TestSampleMode:
     def test_writes_artifacts(self, tmp_path):
@@ -359,6 +370,20 @@ class TestBaselineCompareMode:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "mixture fixture" in capsys.readouterr().err
+
+    def test_bad_start_center_is_refused_before_sampling(self, tmp_path, capsys):
+        doc = sample_config(seed=4)
+        # the staging and long run alone take seconds; the check comes first
+        doc["baseline"] = {"main_time": 2000.0, "start_center": 5}
+        del doc["sample"]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "base"
+        start = time.perf_counter()
+        code = main(["--config", cfg, "--mode", "baseline-compare", "--out", str(out)])
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "start_center" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_writes_comparison_metrics(self, tmp_path):
         doc = sample_config(seed=4)

@@ -2,6 +2,7 @@
 
 The Gaussian chi-squared closed form is compared against plain quadrature
 throughout; scalar oracle values below are hand-derived (noted inline).
+Quadrature divergences take log-densities; a zero density is -inf.
 """
 
 import json
@@ -24,28 +25,31 @@ from temperlab import (
     kl_numeric,
 )
 
-
-def gauss_pdf(mean, sigma):
-    c = 1.0 / (sigma * math.sqrt(2 * math.pi))
-
-    def pdf(x):
-        return c * np.exp(-0.5 * ((x - mean) / sigma) ** 2)
-
-    return pdf
+# -inf - (-inf) or log(0) in the log-space code must fail, not become nan
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def gauss2_pdf(mean, cov):
+def gauss_logpdf(mean, sigma):
+    c = -math.log(sigma * math.sqrt(2 * math.pi))
+
+    def logpdf(x):
+        return c - 0.5 * ((x - mean) / sigma) ** 2
+
+    return logpdf
+
+
+def gauss2_logpdf(mean, cov):
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     inv = np.linalg.inv(cov)
-    c = 1.0 / (2 * math.pi * math.sqrt(np.linalg.det(cov)))
+    c = -math.log(2 * math.pi * math.sqrt(np.linalg.det(cov)))
 
-    def pdf(pts):
+    def logpdf(pts):
         d = pts - mean
         quad = np.einsum("ni,ij,nj->n", d, inv, d)
-        return c * np.exp(-0.5 * quad)
+        return c - 0.5 * quad
 
-    return pdf
+    return logpdf
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +64,14 @@ class TestQuadratureGrid:
 
     def test_trapezoid_close_on_smooth_density(self):
         grid = QuadratureGrid.build([(-9.0, 9.0)], nodes_per_axis=2000)
-        val = grid.integrate(grid.evaluate(gauss_pdf(0.0, 1.0)))
+        val = grid.integrate(np.exp(grid.evaluate(gauss_logpdf(0.0, 1.0))))
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_two_dim_product_weights(self):
         grid = QuadratureGrid.build(
             [(-7.0, 7.0), (-7.0, 7.0)], nodes_per_axis=128, rule="gauss-legendre"
         )
-        val = grid.integrate(grid.evaluate(gauss2_pdf([0.0, 0.0], np.eye(2))))
+        val = grid.integrate(np.exp(grid.evaluate(gauss2_logpdf([0.0, 0.0], np.eye(2)))))
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_for_gaussians_covers_all_means(self):
@@ -110,7 +114,7 @@ def test_closed_form_matches_quadrature_one_dim():
         grid = QuadratureGrid.for_gaussians(
             [[mq], [mp]], [sq, sp], nodes_per_axis=800, rule="gauss-legendre"
         )
-        num = chi2_numeric(gauss_pdf(mq, sq), gauss_pdf(mp, sp), grid)
+        num = chi2_numeric(gauss_logpdf(mq, sq), gauss_logpdf(mp, sp), grid)
         closed = chi2_gaussian([mq], [[sq**2]], [mp], [[sp**2]])
         assert closed == pytest.approx(num, rel=1e-6)
 
@@ -122,9 +126,25 @@ def test_closed_form_matches_quadrature_two_dim():
     grid = QuadratureGrid.build(
         [(-10.0, 10.0), (-10.0, 10.0)], nodes_per_axis=220, rule="gauss-legendre"
     )
-    num = chi2_numeric(gauss2_pdf(mq, cq), gauss2_pdf(mp, cp), grid)
+    num = chi2_numeric(gauss2_logpdf(mq, cq), gauss2_logpdf(mp, cp), grid)
     closed = chi2_gaussian(mq, cq, mp, cp)
     assert closed == pytest.approx(num, rel=1e-5)
+
+
+def test_closed_form_matches_quadrature_where_p_underflows():
+    # the grid covers q^2/p out to x = 26.9, where p is e^-852 and q e^-405:
+    # in linear space p is 0 there while q is not
+    mq, sq, mp, sp = 2.0, 0.875, -2.0, 0.7
+    a = 2.0 / sq**2 - 1.0 / sp**2
+    b = 2.0 * mq / sq**2 - mp / sp**2
+    grid = QuadratureGrid.for_gaussians(
+        [[mq], [mp], [b / a]], [sq, sp, 1.0 / math.sqrt(a)], nodes_per_axis=640
+    )
+    assert np.exp(gauss_logpdf(mp, sp)(grid.points)).min() == 0.0
+    closed = chi2_gaussian([mq], [[sq**2]], [mp], [[sp**2]])
+    assert closed > 1e18
+    num = chi2_numeric(gauss_logpdf(mq, sq), gauss_logpdf(mp, sp), grid)
+    assert num == pytest.approx(closed, rel=1e-5)
 
 
 def test_divergent_pair_returns_infinity():
@@ -132,7 +152,7 @@ def test_divergent_pair_returns_infinity():
     assert chi2_gaussian([0.0], [[4.0]], [0.0], [[1.0]]) == INFINITY
     # the numeric route must agree once q has mass where p has none
     grid = QuadratureGrid.build([(-12.0, 12.0)], nodes_per_axis=400)
-    got = chi2_numeric(gauss_pdf(0.0, 2.0), gauss_pdf(0.0, 1.0), grid)
+    got = chi2_numeric(gauss_logpdf(0.0, 2.0), gauss_logpdf(0.0, 1.0), grid)
     assert got > 1e4 or got == INFINITY
 
 
@@ -141,15 +161,15 @@ def test_support_violation_is_infinite():
 
     def half_line(x):
         # normalized density that is exactly zero for x <= 0
-        return np.where(x > 0, 2.0 * gauss_pdf(0.0, 1.0)(x), 0.0)
+        return np.where(x > 0, math.log(2.0) + gauss_logpdf(0.0, 1.0)(x), -np.inf)
 
-    got = chi2_numeric(gauss_pdf(0.0, 1.0), half_line, grid)
+    got = chi2_numeric(gauss_logpdf(0.0, 1.0), half_line, grid)
     assert got == INFINITY
 
 
 def test_chi2_never_negative_numerically():
     grid = QuadratureGrid.for_gaussians([[0.0]], [1.0], nodes_per_axis=600)
-    p = gauss_pdf(0.0, 1.0)
+    p = gauss_logpdf(0.0, 1.0)
     assert chi2_numeric(p, p, grid) >= 0.0
 
 
@@ -165,10 +185,10 @@ def test_normalization_guard():
     grid = QuadratureGrid.build([(-9.0, 9.0)], nodes_per_axis=300)
 
     def half_density(x):
-        return 0.5 * gauss_pdf(0.0, 1.0)(x)
+        return math.log(0.5) + gauss_logpdf(0.0, 1.0)(x)
 
     with pytest.raises(NormalizationError):
-        chi2_numeric(half_density, gauss_pdf(0.0, 1.0), grid)
+        chi2_numeric(half_density, gauss_logpdf(0.0, 1.0), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +201,7 @@ def test_kl_gaussian_closed_form():
         grid = QuadratureGrid.for_gaussians(
             [[mu], [0.0]], [s, 1.0], nodes_per_axis=1200, rule="gauss-legendre"
         )
-        num = kl_numeric(gauss_pdf(mu, s), gauss_pdf(0.0, 1.0), grid)
+        num = kl_numeric(gauss_logpdf(mu, s), gauss_logpdf(0.0, 1.0), grid)
         closed = math.log(1.0 / s) + (s**2 + mu**2 - 1.0) / 2.0
         assert num == pytest.approx(closed, abs=1e-8)
 
@@ -190,14 +210,14 @@ def test_kl_support_violation_infinite():
     grid = QuadratureGrid.build([(-8.0, 8.0)], nodes_per_axis=400)
 
     def clipped(x):
-        v = gauss_pdf(0.0, 1.0)(x)
-        out = np.where(x > 0, 2.0 * v, 0.0)
+        v = gauss_logpdf(0.0, 1.0)(x)
+        out = np.where(x > 0, math.log(2.0) + v, -np.inf)
         return out
 
     # q vanishes on half the line where p is positive
-    assert kl_numeric(gauss_pdf(0.0, 1.0), clipped, grid) == INFINITY
+    assert kl_numeric(gauss_logpdf(0.0, 1.0), clipped, grid) == INFINITY
     # the reverse direction is finite: 0 * log 0 contributes nothing
-    val = kl_numeric(clipped, gauss_pdf(0.0, 1.0), grid)
+    val = kl_numeric(clipped, gauss_logpdf(0.0, 1.0), grid)
     assert val == pytest.approx(math.log(2.0), abs=1e-6)
 
 
@@ -262,8 +282,8 @@ def test_kl_mixture_bound_holds_on_random_instances():
         mus_p = rng.uniform(-3, 3, m)
         mus_q = mus_p + rng.uniform(-0.5, 0.5, m)
         sig = rng.uniform(0.8, 1.3, m)
-        comps_p = [gauss_pdf(mu, s) for mu, s in zip(mus_p, sig)]
-        comps_q = [gauss_pdf(mu, s) for mu, s in zip(mus_q, sig)]
+        comps_p = [gauss_logpdf(mu, s) for mu, s in zip(mus_p, sig)]
+        comps_q = [gauss_logpdf(mu, s) for mu, s in zip(mus_q, sig)]
         grid = QuadratureGrid.for_gaussians(
             np.concatenate([mus_p, mus_q]).reshape(-1, 1),
             np.concatenate([sig, sig]),
@@ -278,7 +298,7 @@ def test_kl_mixture_bound_identical_components_reduce_to_weight_kl():
     # P_i = Q_i makes the component sum vanish; the bound is KL(w || w')
     w = np.array([0.3, 0.7])
     w2 = np.array([0.6, 0.4])
-    comps = [gauss_pdf(-1.0, 1.0), gauss_pdf(1.0, 1.0)]
+    comps = [gauss_logpdf(-1.0, 1.0), gauss_logpdf(1.0, 1.0)]
     grid = QuadratureGrid.for_gaussians(
         [[-1.0], [1.0]], [1.0, 1.0], nodes_per_axis=1100, rule="gauss-legendre"
     )

@@ -30,6 +30,7 @@ from temperlab import (
     mixture_log_density_many,
     mixture_softmax_weights,
 )
+from temperlab.oracles import _logsumexp
 
 
 def central_diff(value_fn, x, h=1e-5):
@@ -177,6 +178,16 @@ def test_batch_density_matches_scalar():
     batch = mixture_log_density_many(t, X)
     single = np.array([mixture_log_density(t, x) for x in X])
     np.testing.assert_allclose(batch, single, rtol=0, atol=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_logsumexp_guards_non_finite_rows_as_it_does_vectors():
+    # a slice whose max is -inf, +inf or nan gives that max, without warnings
+    A = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [np.nan, 0.0], [0.0, -1.0]])
+    by_vector = [_logsumexp(row) for row in A]
+    assert by_vector[:2] == [-np.inf, np.inf] and math.isnan(by_vector[2])
+    np.testing.assert_allclose(_logsumexp(A), by_vector, rtol=1e-15)
+    np.testing.assert_allclose(_logsumexp(A.T, axis=0), by_vector, rtol=1e-15)
 
 
 def test_mixture_grad_single_component_is_linear():

@@ -133,10 +133,15 @@ def _tempering_run(orc):
     return run_stlmc(orc, ladder, params, ZeroNoiseRng(), thin=1)
 
 
-@pytest.mark.parametrize("run", [_plain_run, _tempering_run], ids=["plain", "stlmc"])
+def _single_step(orc):
+    return langevin_step(orc, 1.0, np.zeros(1), 4.0, ZeroNoiseRng())
+
+
+@pytest.mark.parametrize("run", [_plain_run, _tempering_run, _single_step],
+                         ids=["plain", "stlmc", "step"])
 @pytest.mark.parametrize("grad", [math.nan, -1e308], ids=["nan-gradient", "overflow"])
 def test_runners_stop_at_the_last_finite_position(run, grad):
-    # both runners start at 0 with zero noise and step 4; a gradient of
+    # every runner starts at 0 with zero noise and step 4; a gradient of
     # -1e308 is finite but moves the position past the largest float
     orc = FunctionOracle(value_fn=lambda x: 0.0, grad_fn=lambda x: np.full(1, grad), dim=1)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteGradient) as err:
