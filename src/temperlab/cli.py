@@ -24,7 +24,6 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -42,6 +41,7 @@ from .divergences import _jsonable
 from .fixtures import (
     Fixture,
     FixtureError,
+    _validate,
     fixture_summaries,
     get_fixture,
     target_from_dict,
@@ -56,15 +56,10 @@ class ConfigError(ValueError):
     """Config is schema-valid but semantically unusable for this mode."""
 
 
-def _config_schema() -> dict:
-    text = resources.files("temperlab.data").joinpath("config.schema.json").read_text()
-    return json.loads(text)
-
-
 def _load_config(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    jsonschema.validate(doc, _config_schema())
+    _validate(doc, "config.schema.json")
     return doc
 
 

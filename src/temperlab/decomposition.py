@@ -8,10 +8,12 @@ decomposes exactly, compute the true Poincare constant by brute force, and
 compare it against the bound assembled from component constants plus a tiny
 projected chain.
 
-Every chain is built from its stationary flows pi(x) Q(x, y), the terms of
-its Dirichlet form: a builder writes each pair's flow once on both sides of
-the diagonal and divides by pi, so FiniteMarkovProcess's reversibility check
-is the only one there is.
+A chain is its stationary flows pi(x) Q(x, y), the terms of its Dirichlet
+form: a builder writes each pair's flow once on both sides of the diagonal,
+FiniteMarkovProcess stores them with pi and checks their symmetry (the one
+reversibility check), and the Dirichlet form and the spectrum are read off
+them.  The jump rates are derived on demand, and the spectral gap is the one
+test that a chain connects.
 
 Discrete sums replace integrals throughout; the quadrature twins of the
 divergences live in divergences.py and are deliberately not reused here, so
@@ -75,62 +77,63 @@ class ReducibleChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteMarkovProcess:
-    """Reversible continuous-time generator with its stationary distribution.
+    """Reversible continuous-time chain, stored as its stationary flows.
 
-    rates[x, y] for x != y is the jump rate; diagonals make rows sum to zero.
-    Reversibility (stationary flow symmetry) is validated on construction,
-    not assumed.
+    flows[x, y] = pi(x) Q(x, y) for x != y, the terms of the Dirichlet form;
+    the diagonal is ignored.  Symmetry of the flows (reversibility) is
+    validated on construction, not assumed.
     """
 
-    rates: np.ndarray
+    flows: np.ndarray
     stationary: np.ndarray
     labels: tuple = ()
 
     def __post_init__(self):
-        Q = np.asarray(self.rates, dtype=float)
+        F = np.array(self.flows, dtype=float)
         pi = np.asarray(self.stationary, dtype=float)
         n = pi.size
-        if Q.shape != (n, n):
-            raise ValueError("rates must be square and match the stationary vector")
+        if F.shape != (n, n):
+            raise ValueError("flows must be square and match the stationary vector")
         if n < 1:
             raise ValueError("need at least one state")
         if n > MAX_STATES:
             raise ValueError(f"at most {MAX_STATES} states (got {n})")
+        for name, a in (("stationary", pi), ("flows", F)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if np.any(pi <= 0):
             raise ValueError("stationary probabilities must all be positive")
         if abs(float(pi.sum()) - 1.0) > 1e-12:
             raise ValueError("stationary distribution must sum to 1")
-        off = Q.copy()
-        np.fill_diagonal(off, 0.0)
-        if float(off.min()) < -1e-12:
-            raise ValueError("off-diagonal rates must be nonnegative")
-        off = np.maximum(off, 0.0)
-        scale = max(float(np.abs(Q).max()), 1.0)
-        rowsum = np.abs(Q.sum(axis=1))
-        if float(rowsum.max()) > 1e-10 * scale:
-            raise ValueError("generator rows must sum to zero")
-        flow = pi[:, None] * off
-        asym = float(np.abs(flow - flow.T).max())
-        if asym > 1e-10 * max(float(flow.max()), 1e-300):
+        np.fill_diagonal(F, 0.0)
+        if float(F.min()) < 0.0:
+            raise ValueError("off-diagonal flows must be nonnegative")
+        asym = float(np.abs(F - F.T).max())
+        if asym > 1e-10 * max(float(F.max()), 1e-300):
             raise ValueError(
                 f"stationary flows are asymmetric by {asym:.3g}; "
                 "the chain is not reversible"
             )
-        object.__setattr__(self, "rates", Q)
+        object.__setattr__(self, "flows", F)
         object.__setattr__(self, "stationary", pi)
 
     @property
     def num_states(self) -> int:
         return self.stationary.size
 
+    @property
+    def rates(self) -> np.ndarray:
+        """The generator Q: jump rates off the diagonal, rows summing to zero."""
+        Q = self.flows / self.stationary[:, None]
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        return Q
+
     @staticmethod
     def from_offdiag(off: np.ndarray, stationary: np.ndarray, labels: tuple = ()):
-        """Fill the diagonal so rows sum to zero, then validate."""
-        off = np.asarray(off, dtype=float).copy()
-        np.fill_diagonal(off, 0.0)
-        Q = off
-        np.fill_diagonal(Q, -off.sum(axis=1))
-        return FiniteMarkovProcess(rates=Q, stationary=stationary, labels=labels)
+        """The chain with jump rates off[x, y] for x != y; off's diagonal is ignored."""
+        pi = np.asarray(stationary, dtype=float)
+        flows = pi[:, None] * np.asarray(off, dtype=float)
+        return FiniteMarkovProcess(flows=flows, stationary=pi, labels=labels)
 
 
 def _uniform_spacing(grid: np.ndarray) -> float:
@@ -152,9 +155,9 @@ def discretize_density(
     """Birth-death Metropolis chain on a uniform 1-d grid targeting `density`.
 
     density: callable on the grid or an array of (unnormalized) masses.
-    Neighbour rates are base_rate * min(1, pi_nb / pi_x); the default
-    base_rate 1/h^2 makes the chain a discrete Langevin diffusion in the
-    small-h limit.
+    Neighbour rates are base_rate * min(1, pi_nb / pi_x), so each neighbour
+    pair carries the flow base_rate * min(pi_x, pi_nb); the default base_rate
+    1/h^2 makes the chain a discrete Langevin diffusion in the small-h limit.
     """
     grid = np.asarray(grid, dtype=float)
     h = _uniform_spacing(grid)
@@ -172,20 +175,10 @@ def discretize_density(
             "the grid or fatten the tails"
         )
     pi = vals / vals.sum()
-    n = grid.size
-    off = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    up = rate * np.minimum(1.0, pi[idx + 1] / pi[idx])
-    down = rate * np.minimum(1.0, pi[idx] / pi[idx + 1])
-    off[idx, idx + 1] = up
-    off[idx + 1, idx] = down
-    return FiniteMarkovProcess.from_offdiag(off, pi)
-
-
-def _flows(proc: FiniteMarkovProcess) -> np.ndarray:
-    """Stationary flows pi(x) Q(x, y), each pair read once above the diagonal."""
-    upper = np.triu(proc.stationary[:, None] * proc.rates, 1)
-    return upper + upper.T
+    flow = np.zeros((grid.size, grid.size))
+    idx = np.arange(grid.size - 1)
+    flow[idx, idx + 1] = flow[idx + 1, idx] = rate * np.minimum(pi[idx], pi[idx + 1])
+    return FiniteMarkovProcess(flow, pi)
 
 
 def mixture_chain(
@@ -208,8 +201,8 @@ def mixture_chain(
     if any(c.num_states != n for c in components):
         raise ValueError("components must share one state space")
     pi = sum(wj * c.stationary for wj, c in zip(w, components))
-    flow = sum(wj * _flows(c) for wj, c in zip(w, components))
-    return FiniteMarkovProcess.from_offdiag(flow / pi[:, None], pi)
+    flow = sum(wj * c.flows for wj, c in zip(w, components))
+    return FiniteMarkovProcess(flow, pi)
 
 
 def variance(proc: FiniteMarkovProcess, g: np.ndarray) -> float:
@@ -220,57 +213,30 @@ def variance(proc: FiniteMarkovProcess, g: np.ndarray) -> float:
 
 
 def dirichlet_form(proc: FiniteMarkovProcess, g, f=None) -> float:
-    """E(f, g) = -<f, Q g>_pi; with f omitted, the quadratic form E(g, g)."""
+    """E(f, g) = -<f, Q g>_pi = sum_x f(x) sum_y F(x, y) (g(x) - g(y)) over
+    the flows F; with f omitted, the quadratic form E(g, g)."""
     g = np.asarray(g, dtype=float)
     f = g if f is None else np.asarray(f, dtype=float)
-    return -float((proc.stationary * f) @ (proc.rates @ g))
-
-
-def _bfs_parents(adj: np.ndarray, s: int) -> np.ndarray:
-    """Breadth-first tree from s, neighbours in index order.  parent[s] = s;
-    states that s cannot reach get -1."""
-    parent = np.full(adj.shape[0], -1, dtype=int)
-    parent[s] = s
-    queue = [s]
-    for x in queue:  # the queue grows while it is walked
-        for y in np.nonzero(adj[x])[0]:
-            if parent[y] < 0:
-                parent[y] = x
-                queue.append(int(y))
-    return parent
-
-
-def _components_by_bfs(adj: np.ndarray) -> np.ndarray:
-    comp = np.full(adj.shape[0], -1, dtype=int)
-    c = 0
-    for s in range(adj.shape[0]):
-        if comp[s] < 0:
-            comp[(_bfs_parents(adj, s) >= 0) & (comp < 0)] = c
-            c += 1
-    return comp
+    F = proc.flows
+    return float(f @ (F.sum(axis=1) * g - F @ g))
 
 
 def poincare_constant(proc: FiniteMarkovProcess) -> float:
     """Smallest C with Var(g) <= C E(g, g): one over the spectral gap.
 
-    A single state has no variance to bound, so its constant is 0.  A chain
-    that fails to connect raises ReducibleChainError; callers that want a
-    vacuous bound should catch it and use inf.
+    The spectrum is that of -Q symmetrized by pi: off the diagonal
+    -F(x, y) / sqrt(pi(x) pi(y)), on it the row sums of F over pi.  A single
+    state has no variance to bound, so its constant is 0.  A chain that fails
+    to connect has the eigenvalue 0 more than once, so its gap is numerically
+    zero and it raises ReducibleChainError; callers that want a vacuous bound
+    should catch it and use inf.
     """
-    n = proc.num_states
-    if n == 1:
+    if proc.num_states == 1:
         return 0.0
-    off = proc.rates.copy()
-    np.fill_diagonal(off, 0.0)
-    comp = _components_by_bfs(off > 0.0)
-    if comp.max() > 0:
-        raise ReducibleChainError(
-            f"chain splits into {comp.max() + 1} closed classes"
-        )
-    sqrt_pi = np.sqrt(proc.stationary)
-    S = (sqrt_pi[:, None] * proc.rates) / sqrt_pi[None, :]
-    S = 0.5 * (S + S.T)
-    evals = np.linalg.eigvalsh(-S)
+    pi, F = proc.stationary, proc.flows
+    M = -F / np.sqrt(np.outer(pi, pi))
+    np.fill_diagonal(M, F.sum(axis=1) / pi)
+    evals = np.linalg.eigvalsh(M)
     scale = max(float(evals[-1]), 1.0)
     if abs(float(evals[0])) > 1e-9 * scale:
         raise ValueError(f"ground eigenvalue {evals[0]:.3g} is not numerically zero")
@@ -351,11 +317,11 @@ def build_tempering_chain(
     flow = np.zeros((L * n, L * n))
     for i, p in enumerate(level_processes):
         sl = slice(i * n, (i + 1) * n)
-        flow[sl, sl] = r[i] * _flows(p)
+        flow[sl, sl] = r[i] * p.flows
     lo = np.arange((L - 1) * n)
     flow[lo, lo + n] = flow[lo + n, lo] = 0.5 * swap_rate * np.minimum(pi[lo], pi[lo + n])
     labels = tuple((i + 1, x) for i in range(L) for x in range(n))
-    return FiniteMarkovProcess.from_offdiag(flow / pi[:, None], pi, labels=labels)
+    return FiniteMarkovProcess(flow, pi, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +397,7 @@ def build_projected_chain(
         swap_strength * np.minimum(mass[:-1], mass[1:]).sum(axis=2).ravel()
     )
     labels = tuple((i + 1, j) for i in range(L) for j in range(m))
-    pi = bar.ravel()
-    return FiniteMarkovProcess.from_offdiag(flow / pi[:, None], pi, labels)
+    return FiniteMarkovProcess(flow, bar.ravel(), labels)
 
 
 def build_simple_projected_chain(
@@ -449,8 +414,7 @@ def build_simple_projected_chain(
     dens = np.asarray(densities, dtype=float)
     if dens.shape[0] != w.size:
         raise ValueError("need one density per weight")
-    flow = _component_flows(w, dens, kind)
-    return FiniteMarkovProcess.from_offdiag(flow / w[:, None], w, tuple(range(w.size)))
+    return FiniteMarkovProcess(_component_flows(w, dens, kind), w, tuple(range(w.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +436,20 @@ class CanonicalPathSet:
 
     def __getitem__(self, pair):
         return self.paths[pair]
+
+
+def _bfs_parents(adj: np.ndarray, s: int) -> np.ndarray:
+    """Breadth-first tree from s, neighbours in index order.  parent[s] = s;
+    states that s cannot reach get -1."""
+    parent = np.full(adj.shape[0], -1, dtype=int)
+    parent[s] = s
+    queue = [s]
+    for x in queue:  # the queue grows while it is walked
+        for y in np.nonzero(adj[x])[0]:
+            if parent[y] < 0:
+                parent[y] = x
+                queue.append(int(y))
+    return parent
 
 
 def geodesic_paths(adjacency: np.ndarray) -> CanonicalPathSet:
@@ -632,16 +610,10 @@ def _judged(theorem, tag, C, C_bar, C_star, bound_of, tol, residual, details):
     )
 
 
-def _identity_residual_simple(mix, comps, weights, probes) -> float:
-    worst = 0.0
-    for f, g in probes:
-        lhs = dirichlet_form(mix, g, f)
-        rhs = sum(
-            wj * dirichlet_form(c, g, f) for wj, c in zip(weights, comps)
-        )
-        scale = max(abs(lhs), abs(rhs), 1e-12)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+def _identity_residual(sides) -> float:
+    """Worst relative gap |lhs - rhs| / max(|lhs|, |rhs|, 1e-12) over the
+    (lhs, rhs) pairs of a decomposition identity."""
+    return max(abs(a - b) / max(abs(a), abs(b), 1e-12) for a, b in sides)
 
 
 def verify_simple_decomposition(
@@ -668,7 +640,10 @@ def verify_simple_decomposition(
     rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
     n = mix.num_states
     probes = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(_NUM_PROBES)]
-    residual = _identity_residual_simple(mix, comps, w, probes)
+    residual = _identity_residual(
+        (dirichlet_form(mix, g, f), sum(wj * dirichlet_form(c, g, f) for wj, c in zip(w, comps)))
+        for f, g in probes
+    )
     C = max(poincare_constant(c) for c in comps)
     C_star = poincare_constant(mix)
     tag = instance.hash()
@@ -713,26 +688,20 @@ def verify_tempering_decomposition(
     ]
     joint = build_tempering_chain(level_chains, instance.rel_probs, lam)
 
-    # Dirichlet identity: joint form = sum_i r_i E_i + exchange half-sum
-    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
-    worst = 0.0
-    for _ in range(_NUM_PROBES):
-        g = rng.standard_normal(L * n)
-        lhs = dirichlet_form(joint, g)
+    # Dirichlet identity: joint form = sum_i r_i E_i + exchange half-sum, where
+    # the ordered pairs (i, i+1) and (i+1, i) contribute equally
+    level_pi = joint.stationary.reshape(L, n)
+    cross = 0.5 * lam * np.minimum(level_pi[:-1], level_pi[1:])
+
+    def sides(g):
         G = g.reshape(L, n)
-        rhs = sum(
-            instance.rel_probs[i] * dirichlet_form(level_chains[i], G[i])
-            for i in range(L)
+        levels = sum(
+            instance.rel_probs[i] * dirichlet_form(level_chains[i], G[i]) for i in range(L)
         )
-        for i in range(L - 1):
-            cross = np.minimum(
-                instance.rel_probs[i] * level_chains[i].stationary,
-                instance.rel_probs[i + 1] * level_chains[i + 1].stationary,
-            )
-            # ordered pairs (i,i+1) and (i+1,i) contribute equally
-            rhs += 0.5 * lam * float(cross @ (G[i] - G[i + 1]) ** 2)
-        scale = max(abs(lhs), abs(rhs), 1e-12)
-        worst = max(worst, abs(lhs - rhs) / scale)
+        return dirichlet_form(joint, g), levels + float((cross * np.diff(G, axis=0) ** 2).sum())
+
+    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
+    worst = _identity_residual(sides(rng.standard_normal(L * n)) for _ in range(_NUM_PROBES))
 
     C = max(
         poincare_constant(comp_chains[i][j]) for i in range(L) for j in range(m)

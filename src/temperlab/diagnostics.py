@@ -53,7 +53,7 @@ def _gaussian_density(target: MixtureTarget):
     w = target.weights
 
     def density(pts):
-        return (np.exp(-_component_energies(target, pts)) * w[None, :]).sum(axis=1) * norm
+        return (np.exp(-_component_energies(target, pts)) * w[:, None]).sum(axis=0) * norm
 
     return density
 

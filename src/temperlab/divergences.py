@@ -315,24 +315,24 @@ def check_temp_scaling_bounds(
     worst = math.inf
     violations = 0
     cases = 0
-    base_vals = _component_energies(target, points)  # (n, m)
-    f_mix = -_logsumexp(log_w[None, :] - base_vals)  # the mixture's f, (n,)
+    base_vals = _component_energies(target, points)  # (m, n)
+    f_mix = -_logsumexp(log_w[:, None] - base_vals, axis=0)  # the mixture's f, (n,)
     for beta in betas:
         log_g = -beta * f_mix
-        log_gt = _logsumexp(log_w[None, :] - beta * base_vals)
+        log_gt = _logsumexp(log_w[:, None] - beta * base_vals, axis=0)
         lower = log_g - log_gt
         upper = (log_gt - log_wmin) - log_g
         m = float(min(lower.min(), upper.min()))
         worst = min(worst, m)
         violations += int(np.sum(lower < -slack) + np.sum(upper < -slack))
-        cases += 2 * len(base_vals)
+        cases += 2 * f_mix.size
     return CheckReport(
         check="temp-scaling-sandwich",
         num_cases=cases,
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,
-        details={"betas": betas, "num_points": len(base_vals)},
+        details={"betas": betas, "num_points": f_mix.size},
     )
 
 

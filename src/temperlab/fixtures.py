@@ -8,6 +8,7 @@ exist only as builtins because they carry code, not just numbers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -185,14 +186,24 @@ def fixture_summaries() -> list:
     return rows
 
 
-def _fixture_schema() -> dict:
-    text = resources.files("temperlab.data").joinpath("fixture.schema.json").read_text()
-    return json.loads(text)
+@functools.cache
+def _schema_validator(name: str):
+    """Validator for the packaged schema `name`, built once per process.  The
+    schema is not checked against its metaschema here; the test suite does."""
+    schema = json.loads(resources.files("temperlab.data").joinpath(name).read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _validate(doc, schema_name: str) -> None:
+    """Raise the error jsonschema.validate would pick for doc, if any."""
+    error = jsonschema.exceptions.best_match(_schema_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def target_from_dict(doc: dict) -> MixtureTarget:
     """Validate a fixture document and build its mixture target."""
-    jsonschema.validate(doc, _fixture_schema())
+    _validate(doc, "fixture.schema.json")
     dim = int(doc["dim"])
     base_doc = doc["base"]
     if base_doc["kind"] == "isotropic-gaussian":

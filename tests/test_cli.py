@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import time
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -91,6 +93,12 @@ class TestFixtureListing:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["config.schema.json", "fixture.schema.json"])
+    def test_packaged_schema_is_valid_under_its_metaschema(self, name):
+        # validation builds each validator once and skips this check
+        schema = json.loads(resources.files("temperlab.data").joinpath(name).read_text())
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"version": 1})
         code = main(["--config", cfg, "--mode", "sample", "--out", str(tmp_path / "o")])

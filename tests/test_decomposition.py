@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import temperlab.decomposition as decomposition
 from temperlab.decomposition import (
     INFINITY,
     MAX_STATES,
@@ -86,15 +87,35 @@ class TestProcessValidation:
         assert proc.rates[1, 1] == -1.0
         assert proc.num_states == 2
 
+    def test_from_offdiag_stores_flows_and_derives_rates(self):
+        rng = np.random.default_rng(8)
+        off = rng.uniform(0.2, 1.0, (5, 5))
+        off = off + off.T
+        np.fill_diagonal(off, 0.0)
+        proc = FiniteMarkovProcess.from_offdiag(off, np.full(5, 0.2))
+        np.testing.assert_array_equal(proc.flows, 0.2 * off)
+        expected = off.copy()
+        np.fill_diagonal(expected, -off.sum(axis=1))
+        np.testing.assert_allclose(proc.rates, expected, rtol=1e-15)
+
     def test_negative_offdiagonal_rejected(self):
         Q = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(ValueError, match="nonnegative"):
-            FiniteMarkovProcess(rates=Q, stationary=np.array([0.5, 0.5]))
+            FiniteMarkovProcess(flows=Q, stationary=np.array([0.5, 0.5]))
 
-    def test_nonzero_row_sum_rejected(self):
-        Q = np.array([[-1.0, 2.0], [1.0, -1.0]])
-        with pytest.raises(ValueError, match="sum to zero"):
-            FiniteMarkovProcess(rates=Q, stationary=np.array([0.5, 0.5]))
+    def test_asymmetric_flows_rejected(self):
+        F = np.array([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="not reversible"):
+            FiniteMarkovProcess(flows=F, stationary=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("off, pi, name", [
+        ([[0.0, np.nan], [np.nan, 0.0]], [0.5, 0.5], "flows"),
+        ([[0.0, np.inf], [np.inf, 0.0]], [0.5, 0.5], "flows"),
+        ([[0.0, 1.0], [1.0, 0.0]], [np.nan, 0.5], "stationary"),
+    ], ids=["nan-flow", "inf-flow", "nan-stationary"])
+    def test_non_finite_input_rejected(self, off, pi, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FiniteMarkovProcess.from_offdiag(np.array(off), np.array(pi))
 
     def test_irreversible_chain_rejected(self):
         # uniform pi but asymmetric rates: flow 2 one way, 1 the other
@@ -273,17 +294,24 @@ class TestSpectralBasics:
         )
 
     def test_single_state_constant_is_zero(self):
-        proc = FiniteMarkovProcess(rates=np.zeros((1, 1)),
+        proc = FiniteMarkovProcess(flows=np.zeros((1, 1)),
                                    stationary=np.array([1.0]))
         assert poincare_constant(proc) == 0.0
 
     def test_disconnected_chain_raises(self):
-        off = np.zeros((4, 4))
-        off[0, 1] = off[1, 0] = 1.0
-        off[2, 3] = off[3, 2] = 1.0
-        proc = FiniteMarkovProcess.from_offdiag(off, np.full(4, 0.25))
-        with pytest.raises(ReducibleChainError):
-            poincare_constant(proc)
+        shapes = {
+            "two blocks": (4, {(0, 1): 1.0, (2, 3): 1.0}),
+            "stiff and slow blocks": (4, {(0, 1): 1e6, (2, 3): 1e-3}),
+            "isolated state": (4, {(0, 1): 1.0, (1, 2): 1.0}),
+            "three classes": (6, {(0, 1): 1.0, (2, 3): 2.0, (4, 5): 0.5}),
+        }
+        for n, edges in shapes.values():
+            off = np.zeros((n, n))
+            for (x, y), rate in edges.items():
+                off[x, y] = off[y, x] = rate
+            proc = FiniteMarkovProcess.from_offdiag(off, np.full(n, 1.0 / n))
+            with pytest.raises(ReducibleChainError):
+                poincare_constant(proc)
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +833,29 @@ class TestVerifySimple:
             assert rep.C == pytest.approx(rep.C_star, rel=1e-10)
             assert rep.bound == pytest.approx(rep.C, rel=1e-12)
 
+    def test_zero_flow_projected_chain_is_a_vacuous_pass(self, monkeypatch):
+        # point masses on distinct states: chi2 is infinite and the overlap 0,
+        # so neither projected chain has a single flow
+        build = decomposition.build_simple_projected_chain
+        assert not build(np.array([0.5, 0.5]), np.eye(2), "overlap").flows.any()
+        monkeypatch.setattr(decomposition, "build_simple_projected_chain",
+                            lambda w, dens, kind: build(w, np.eye(w.size), kind))
+        grid = np.linspace(-4.0, 4.0, 40)
+        dens = np.stack([gauss_masses(grid, -1.0, 0.8), gauss_masses(grid, 1.4, 1.0)])
+        inst = SimpleInstance(grid=grid, weights=np.array([0.6, 0.4]), densities=dens,
+                              base_rate=1.0 / float(grid[1] - grid[0]) ** 2)
+        for rep in verify_simple_decomposition(inst):
+            assert rep.C_bar == rep.bound == rep.slack == INFINITY
+            assert rep.passed
+
+    def test_nan_weight_is_rejected(self):
+        grid = np.linspace(-4.0, 4.0, 40)
+        dens = np.stack([gauss_masses(grid, -1.0, 0.8), gauss_masses(grid, 1.4, 1.0)])
+        inst = SimpleInstance(grid=grid, weights=np.array([np.nan, 0.4]), densities=dens,
+                              base_rate=1.0 / float(grid[1] - grid[0]) ** 2)
+        with pytest.raises(ValueError, match="stationary must be finite"):
+            verify_simple_decomposition(inst)
+
     def test_identical_components_trigger_rate_cap_but_pass(self):
         grid = np.linspace(-3.0, 3.0, 32)
         h = float(grid[1] - grid[0])
@@ -881,6 +932,13 @@ class TestVerifyTempering:
         assert temp.C_bar == pytest.approx(simple.C_bar, rel=1e-10)
         assert temp.C_star == pytest.approx(simple.C_star, rel=1e-10)
         assert temp.passed
+
+    def test_nan_weight_is_rejected(self):
+        inst = random_tempering_instance(np.random.default_rng(19))
+        cw = inst.comp_weights.copy()
+        cw[1, 0] = np.nan
+        with pytest.raises(ValueError, match="stationary must be finite"):
+            verify_tempering_decomposition(dataclasses.replace(inst, comp_weights=cw))
 
     def test_strength_choices_are_respected(self):
         rng = np.random.default_rng(37)
