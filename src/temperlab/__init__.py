@@ -2,7 +2,6 @@
 finite-chain laboratory for the variance-decomposition bounds behind it."""
 
 from .oracles import (
-    AdversarialOracle,
     AdversarialTwoGaussian,
     BaseFunction,
     DensityOracle,
@@ -93,7 +92,6 @@ from .fixtures import (
     FixtureError,
     builtin_fixture_names,
     get_fixture,
-    load_fixture_file,
     target_from_dict,
 )
 

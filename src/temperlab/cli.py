@@ -11,7 +11,8 @@ Four modes, all reading one JSON config validated against a strict schema:
                         budget on a multimodal target
 
 Exit codes: 0 all checks passed, 1 a check failed (the failing report path
-is printed), 2 usage or config/schema errors.
+is printed), 2 usage or config/schema errors, non-finite config numbers, and
+failed sampling runs (a stage that keeps too few runs, a step that overflows).
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .fixtures import (
     target_from_dict,
 )
 from .ladder import RunParams, ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
-from .sampler import RngStream, _samples_per_stage, run_main, run_plain_langevin, run_stlmc
+from .sampler import (EstimationFailure, NonFiniteGradient, RngStream, _samples_per_stage,
+                      run_main, run_plain_langevin, run_stlmc)
 
 __all__ = ["main"]
 
@@ -56,9 +58,14 @@ class ConfigError(ValueError):
     """Config is schema-valid but semantically unusable for this mode."""
 
 
+def _reject_constant(token: str):
+    """json.load hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ConfigError(f"{token} is not a JSON number; config numbers must be finite")
+
+
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_reject_constant)
     _validate(doc, "config.schema.json")
     return doc
 
@@ -582,7 +589,7 @@ def main(argv=None) -> int:
         where = "/".join(str(p) for p in e.absolute_path) or "<root>"
         print(f"config error: {where}: {e.message}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     if args.seed is not None:
@@ -602,6 +609,11 @@ def main(argv=None) -> int:
             ok = _mode_baseline_compare(config, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except (EstimationFailure, NonFiniteGradient) as e:
+        keys = ("overrides.step_size" if isinstance(e, NonFiniteGradient) else
+                "overrides.swap_rate, overrides.total_time or schedule.c_samples")
+        print(f"config error: {e}; change {keys}", file=sys.stderr)
         return 2
     return 0 if ok else 1
 

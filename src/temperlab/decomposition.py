@@ -26,11 +26,11 @@ import hashlib
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import _jsonable
+from .divergences import _report_dict
 from .oracles import _softmax
 
 __all__ = [
@@ -195,8 +195,8 @@ def mixture_chain(
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size != len(components) or w.size == 0:
         raise ValueError("need one weight per component")
-    if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-        raise ValueError("weights must be positive and sum to 1")
+    if not (np.all(w > 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
+        raise ValueError(f"weights must be positive and sum to 1 (got {w!r})")
     n = components[0].num_states
     if any(c.num_states != n for c in components):
         raise ValueError("components must share one state space")
@@ -303,9 +303,9 @@ def build_tempering_chain(
     L = r.size
     if L != len(level_processes) or L == 0:
         raise ValueError("need one relative probability per level")
-    if np.any(r <= 0) or abs(float(r.sum()) - 1.0) > 1e-12:
+    if not (np.all(r > 0) and abs(float(r.sum()) - 1.0) <= 1e-12):
         raise ValueError("rel_probs must be positive and sum to 1")
-    if swap_rate <= 0:
+    if not swap_rate > 0:
         raise ValueError("swap_rate must be > 0")
     n = level_processes[0].num_states
     if any(p.num_states != n for p in level_processes):
@@ -383,9 +383,9 @@ def build_projected_chain(
         raise ValueError("densities must be (levels, components, states)")
     if r.shape != (L,):
         raise ValueError("rel_probs must have one entry per level")
-    if np.any(w <= 0) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-10):
-        raise ValueError("each level's component weights must sum to 1")
-    if swap_strength <= 0:
+    if not (np.all(w > 0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-10)):
+        raise ValueError("comp_weights must be positive and each level's row must sum to 1")
+    if not swap_strength > 0:
         raise ValueError("swap_strength must be > 0")
 
     bar = r[:, None] * w  # stationary law on (level, component)
@@ -577,10 +577,7 @@ class DecompositionReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = _jsonable(asdict(self))
-        if not self.details:
-            del out["details"]
-        return out
+        return _report_dict(self)
 
 
 def _safe_poincare(proc: FiniteMarkovProcess) -> float:

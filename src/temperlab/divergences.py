@@ -12,7 +12,7 @@ one and two; the sampler, not the grid, is the tool above that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -249,7 +249,7 @@ def _kl(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class CheckReport:
-    """Outcome of a batch inequality check, JSON-friendly."""
+    """Outcome of a batch inequality check; to_dict gives strict JSON data."""
 
     check: str
     num_cases: int
@@ -259,16 +259,15 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "num_cases": int(self.num_cases),
-            "violations": int(self.violations),
-            "worst_margin": float(self.worst_margin),
-            "passed": bool(self.passed),
-        }
-        if self.details:
-            out["details"] = _jsonable(self.details)
-        return out
+        return _report_dict(self)
+
+
+def _report_dict(report) -> dict:
+    """A report dataclass as _jsonable data, without `details` when empty."""
+    out = _jsonable(asdict(report))
+    if not report.details:
+        del out["details"]
+    return out
 
 
 def _jsonable(obj):

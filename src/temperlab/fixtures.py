@@ -1,4 +1,4 @@
-"""Built-in target fixtures and JSON fixture files.
+"""Built-in target fixtures and inline JSON fixture descriptions.
 
 Fixtures bundle an oracle with the ground truth needed to grade it: the
 mixture parameters, spread bound, and minimum weight.  The JSON format
@@ -33,7 +33,6 @@ __all__ = [
     "builtin_fixture_names",
     "get_fixture",
     "fixture_summaries",
-    "load_fixture_file",
     "target_from_dict",
 ]
 
@@ -126,7 +125,7 @@ def _adversarial_two_variance() -> Fixture:
         ),
         kind="adversarial",
         dim=4,
-        oracle=cons.oracle(),
+        oracle=cons,
         target=None,
         D=max(cons.u_norm, math.sqrt(2.0)),
         w_min=0.5,
@@ -221,12 +220,3 @@ def target_from_dict(doc: dict) -> MixtureTarget:
             f"centers must be a {weights.size} x {dim} array of numbers"
         )
     return MixtureTarget(weights=weights, centers=centers, base=base, dim=dim)
-
-
-def load_fixture_file(path) -> Fixture:
-    """Read and validate a JSON fixture description from disk."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return Fixture.from_target(
-        target_from_dict(doc), doc.get("name") or str(path), doc.get("description", "user fixture")
-    )

@@ -5,7 +5,7 @@ beta_L = 1, all levels equally likely, with (running) partition estimates.
 The builders derive the whole schedule (ladder geometry, swap rate, chain
 length, step size, initial spread) from a handful of problem parameters:
 dimension, center spread D, base-function scale, minimum weight, and target
-accuracy.
+accuracy.  The two builders share one validation and one RunParams assembly.
 
 Schedules here scale correctly but are conservative; ScheduleConstants holds
 the tunable leading constants, and the wmin exponent on the chain length is
@@ -52,9 +52,9 @@ class ScheduleConstants:
 
     def __post_init__(self):
         for name in ("c_beta1", "c_rate", "c_time", "c_step", "c_samples"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.wmin_exponent < 0:
+        if not self.wmin_exponent >= 0:
             raise ValueError("wmin_exponent must be >= 0")
 
 
@@ -76,9 +76,9 @@ class TemperatureLadder:
         z = np.asarray(self.partition_estimates, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ValueError("betas must be a non-empty 1-d array")
-        if np.any(b <= 0) or b[-1] > 1.0 + 1e-12:
+        if not (np.all(b > 0) and b[-1] <= 1.0 + 1e-12):
             raise ValueError("need 0 < beta_i <= 1")
-        if np.any(np.diff(b) <= 0):
+        if not np.all(np.diff(b) > 0):
             raise ValueError("betas must strictly increase")
         if not self.partial and abs(b[-1] - 1.0) > 1e-12:
             raise ValueError("the coldest level must have beta = 1")
@@ -102,7 +102,6 @@ class TemperatureLadder:
         )
 
     def with_partition_estimates(self, zhat) -> "TemperatureLadder":
-        zhat = np.asarray(zhat, dtype=float)
         return replace(self, partition_estimates=zhat)
 
 
@@ -120,16 +119,11 @@ class RunParams:
     eta_active: str = ""
 
     def __post_init__(self):
-        if self.swap_rate <= 0:
-            raise ValueError("swap_rate must be > 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be > 0")
+        for name in ("swap_rate", "step_size", "total_time", "init_std"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.step_size > self.total_time:
             raise ValueError("step_size cannot exceed total_time")
-        if self.init_std <= 0:
-            raise ValueError("init_std must be > 0")
         if not 0 < self.target_accuracy < 1:
             raise ValueError("target_accuracy must be in (0, 1)")
 
@@ -145,6 +139,34 @@ def _geometric_ladder(beta1: float, ratio: float) -> np.ndarray:
     if betas.size >= 2 and betas[-2] >= 1.0 - 1e-12:
         betas = np.concatenate([betas[:-2], [1.0]])
     return betas
+
+
+def _check_common(dim: int, w_min: float, target_accuracy: float) -> None:
+    """The validation both builders share; NaN fails every check."""
+    if not dim >= 1:
+        raise ValueError("dim must be >= 1")
+    if not 0 < w_min <= 1:
+        raise ValueError("w_min must be in (0, 1]")
+    if not 0 < target_accuracy < 1:
+        raise ValueError("target_accuracy must be in (0, 1)")
+
+
+def _schedule(betas, lam, T, terms, eta_scale, init_std, eps, c):
+    """Ladder on `betas` and its RunParams, stepping c_step * eta_scale times
+    the smallest of the step terms."""
+    ladder = TemperatureLadder(betas=betas, partition_estimates=np.ones(betas.size))
+    active = min(terms, key=terms.get)
+    params = RunParams(
+        swap_rate=lam,
+        step_size=c.c_step * eta_scale * terms[active],
+        total_time=T,
+        init_std=init_std,
+        target_accuracy=eps,
+        constants=c,
+        eta_terms=tuple(sorted(terms.items())),
+        eta_active=active,
+    )
+    return ladder, params
 
 
 def build_ladder_gaussian(
@@ -163,27 +185,19 @@ def build_ladder_gaussian(
     w_min  smallest mixture weight.
     """
     c = constants or ScheduleConstants()
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if sigma <= 0:
+    _check_common(dim, w_min, target_accuracy)
+    if not sigma > 0:
         raise ValueError("sigma must be > 0")
-    if D < sigma:
+    if not D >= sigma:
         raise ValueError(
             f"D must be at least sigma (the scale bound is "
             f"max(center norm, sigma)); got D={D} < sigma={sigma}"
         )
-    if not 0 < w_min <= 1:
-        raise ValueError("w_min must be in (0, 1]")
-    if not 0 < target_accuracy < 1:
-        raise ValueError("target_accuracy must be in (0, 1)")
 
     beta1 = min(c.c_beta1 * sigma**2 / D**2, 1.0)
     ratio = 1.0 + 1.0 / (dim + math.log(1.0 / w_min))
     betas = _geometric_ladder(beta1, ratio)
-    ladder = TemperatureLadder(betas=betas, partition_estimates=np.ones(betas.size))
-    L = ladder.num_levels
-
-    lam = c.c_rate / D**2
+    L = betas.size
     eps = target_accuracy
     T = (
         c.c_time
@@ -197,19 +211,8 @@ def build_ladder_gaussian(
         "spread": 1.0 / math.sqrt(D),
         "drift": sigma * eps / (dim * T),
     }
-    active = min(terms, key=terms.get)
-    eta = c.c_step * (sigma**3 * eps / D**2) * terms[active]
-    params = RunParams(
-        swap_rate=lam,
-        step_size=eta,
-        total_time=T,
-        init_std=sigma / math.sqrt(beta1),
-        target_accuracy=eps,
-        constants=c,
-        eta_terms=tuple(sorted(terms.items())),
-        eta_active=active,
-    )
-    return ladder, params
+    return _schedule(betas, c.c_rate / D**2, T, terms, sigma**3 * eps / D**2,
+                     sigma / math.sqrt(beta1), eps, c)
 
 
 def build_ladder_logconcave(
@@ -228,30 +231,22 @@ def build_ladder_logconcave(
               floor that keeps beta1 meaningful.
     """
     c = constants or ScheduleConstants()
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_common(dim, w_min, target_accuracy)
     if not 0 < kappa <= K:
         raise ValueError("need 0 < kappa <= K")
     floor = math.sqrt(kappa) / (math.sqrt(dim) * K)
-    if D < floor:
+    if not D >= floor:
         raise ValueError(
             f"D must be at least sqrt(kappa)/(sqrt(dim)*K) = {floor:.6g}; "
             f"got D={D}"
         )
-    if not 0 < w_min <= 1:
-        raise ValueError("w_min must be in (0, 1]")
-    if not 0 < target_accuracy < 1:
-        raise ValueError("target_accuracy must be in (0, 1)")
 
     beta1 = min(c.c_beta1 * kappa / (dim * K**2 * D**2), 1.0)
     # log(K/kappa) + 1 so the well-conditioned case kappa = K stays sane
     cond = math.log(K / kappa) + 1.0
     ratio = 1.0 + kappa / (K * dim * cond)
     betas = _geometric_ladder(beta1, ratio)
-    ladder = TemperatureLadder(betas=betas, partition_estimates=np.ones(betas.size))
-    L = ladder.num_levels
-
-    lam = c.c_rate / D**2
+    L = betas.size
     eps = target_accuracy
     T = (
         c.c_time
@@ -265,19 +260,8 @@ def build_ladder_logconcave(
         "spread": eps / (D**2.5 * K**1.5 * (math.sqrt(K / kappa) + 1.0)),
         "drift": eps / (D**2 * K**2 * dim * T),
     }
-    active = min(terms, key=terms.get)
-    eta = c.c_step * terms[active]
-    params = RunParams(
-        swap_rate=lam,
-        step_size=eta,
-        total_time=T,
-        init_std=1.0 / math.sqrt(kappa * beta1),
-        target_accuracy=eps,
-        constants=c,
-        eta_terms=tuple(sorted(terms.items())),
-        eta_active=active,
-    )
-    return ladder, params
+    return _schedule(betas, c.c_rate / D**2, T, terms, 1.0,
+                     1.0 / math.sqrt(kappa * beta1), eps, c)
 
 
 @dataclass(frozen=True)

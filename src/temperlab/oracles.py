@@ -10,7 +10,7 @@ ratios, so f is defined up to an additive constant.  All mixture evaluation
 goes through log-sum-exp so widely separated centers cannot underflow.
 
 Also here: tempering (beta * f), declared additive perturbations, and an
-adversarial two-variance construction used as a hard fixture.
+adversarial two-variance construction, itself an oracle, for a hard fixture.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "Perturbation",
     "PerturbedOracle",
     "AdversarialTwoGaussian",
-    "AdversarialOracle",
     "mixture_log_density",
     "mixture_log_density_many",
     "mixture_grad",
@@ -98,7 +97,7 @@ class BaseFunction:
     @staticmethod
     def isotropic_gaussian(sigma: float) -> "BaseFunction":
         sigma = float(sigma)
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("isotropic-gaussian base needs sigma > 0")
         k = 1.0 / sigma**2
         return BaseFunction(precision=k, kappa=k, K=k)
@@ -112,12 +111,12 @@ class BaseFunction:
             raise ValueError("H must be symmetric")
         evals = np.linalg.eigvalsh(H)
         lo, hi = float(evals[0]), float(evals[-1])
-        if lo <= 0:
+        if not lo > 0:
             raise ValueError("H must be positive definite")
         kap = kappa if kappa is not None else lo
         big = K if K is not None else hi
         # the declared envelope must actually contain the spectrum
-        if lo < kap - 1e-12 or hi > big + 1e-12:
+        if not kap - 1e-12 <= lo <= hi <= big + 1e-12:
             raise ValueError(
                 f"eigenvalues of H in [{lo:.6g}, {hi:.6g}] escape the "
                 f"declared envelope [kappa={kap:.6g}, K={big:.6g}]"
@@ -169,14 +168,16 @@ class MixtureTarget:
             c = c.reshape(-1, 1) if self.dim == 1 else c.reshape(1, -1)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d array")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("all mixture weights must be positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
         if c.shape != (w.size, self.dim):
             raise DimensionMismatch(
                 f"centers must have shape ({w.size}, {self.dim}), got {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("centers must be finite")
         if np.shape(self.base.precision) not in ((), (self.dim, self.dim)):
             raise DimensionMismatch("H dimension disagrees with target dim")
         self.weights = w
@@ -332,9 +333,10 @@ def adversarial_bump_h_prime(x: float) -> float:
 
 
 @dataclass(eq=False)
-class AdversarialTwoGaussian:
+class AdversarialTwoGaussian(DensityOracle):
     """Equal-weight pair of Gaussians with unequal covariance, plus the
-    surgery that swaps in the wide component far from both modes.
+    surgery that swaps in the wide component far from both modes.  As an
+    oracle its value and grad are those of the modified function.
 
     f1 is the wide component (variance 2), f2 the narrow one (variance 1)
     centered at u with |u| = 8 d ln 2.  The modified function is
@@ -428,20 +430,11 @@ class AdversarialTwoGaussian:
         )
         return val, grad
 
-    def oracle(self) -> "AdversarialOracle":
-        return AdversarialOracle(self)
-
-
-class AdversarialOracle(DensityOracle):
-    def __init__(self, construction: AdversarialTwoGaussian):
-        self.construction = construction
-        self.dim = construction.dim
-
     def value(self, x) -> float:
-        return self.construction.value_grad(x)[0]
+        return self.value_grad(x)[0]
 
     def grad(self, x) -> np.ndarray:
-        return self.construction.value_grad(x)[1]
+        return self.value_grad(x)[1]
 
 
 # ---------------------------------------------------------------------------

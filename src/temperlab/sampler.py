@@ -47,7 +47,7 @@ class NonFiniteGradient(RuntimeError):
     def __init__(self, position: np.ndarray):
         self.position = np.asarray(position, dtype=float)
         super().__init__(
-            f"non-finite gradient or step at position {self.position!r}; "
+            f"non-finite gradient or step at position {self.position.tolist()}; "
             "the step size is likely too large for this target"
         )
 
@@ -435,7 +435,10 @@ class MainResult:
     samples: np.ndarray
     zhat: np.ndarray
     stage_stats: list = field(default_factory=list)
-    final_records: list = field(default_factory=list)
+
+
+# A stage whose rejection rate is above this after its attempt floor aborts.
+REJECTION_CEILING = 0.999
 
 
 def run_main(
@@ -445,9 +448,6 @@ def run_main(
     rng: RngStream,
     confidence: float = 0.05,
     num_final_samples: int = 1,
-    thin: int = 10,
-    rejection_ceiling: float = 0.999,
-    keep_final_records: bool = False,
 ) -> MainResult:
     """Staged driver: estimate partition ratios level by level, then sample.
 
@@ -457,7 +457,7 @@ def run_main(
     stage collects num_final_samples endpoints at beta = 1 and returns them.
 
     Aborts with EstimationFailure if a stage's rejection rate stays above
-    rejection_ceiling after a generous number of attempts; that signals the
+    REJECTION_CEILING after a generous number of attempts; that signals the
     partition estimates (and hence level mixing) have gone wrong.
     """
     L = ladder.num_levels
@@ -465,7 +465,6 @@ def run_main(
     n_per_stage = _samples_per_stage(params, L, confidence)
     stages: list[StageStats] = []
     samples = None
-    records = []
 
     for ell in range(1, L + 1):
         sub = ladder.prefix(ell).with_partition_estimates(zhat[:ell])
@@ -475,21 +474,19 @@ def run_main(
         accepted = 0
         attempt_floor = max(100, 2 * need)
         while len(got) < need:
-            rec = run_stlmc(oracle, sub, params, rng, target_level=ell, thin=thin)
+            rec = run_stlmc(oracle, sub, params, rng)
             attempts += 1
             if rec.accepted:
                 accepted += 1
                 got.append(rec.positions[-1].copy())  # lets the record be freed
-                if ell == L and keep_final_records:
-                    records.append(rec)
             if attempts >= attempt_floor:
                 rej = 1.0 - accepted / attempts
-                if rej > rejection_ceiling:
+                if rej > REJECTION_CEILING:
                     raise EstimationFailure(
                         f"stage {ell}/{L}: {accepted}/{attempts} runs reached "
                         f"level {ell} (rejection rate {rej:.4f} > "
-                        f"{rejection_ceiling}); partition estimates so far: "
-                        f"{zhat[:ell]!r}"
+                        f"{REJECTION_CEILING}); partition estimates so far: "
+                        f"{zhat[:ell].tolist()}"
                     )
         X = np.asarray(got)
         if ell < L:
@@ -510,9 +507,4 @@ def run_main(
             samples = X
             stages.append(StageStats(ell, len(got), attempts, accepted, None, None))
 
-    return MainResult(
-        samples=samples,
-        zhat=zhat,
-        stage_stats=stages,
-        final_records=records,
-    )
+    return MainResult(samples=samples, zhat=zhat, stage_stats=stages)

@@ -201,6 +201,57 @@ class TestConfigValidation:
         assert "config error:" in err
         assert "fixture/" in err
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("overrides", "step_size", math.nan),
+            ("overrides", "swap_rate", math.nan),
+            (None, "target_accuracy", math.nan),
+            ("schedule", "c_time", math.inf),
+        ],
+        ids=["step_size-NaN", "swap_rate-NaN", "target_accuracy-NaN", "c_time-Infinity"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, block, key, value):
+        doc = sample_config()
+        if block is None:
+            doc[key] = value
+        else:
+            doc[block] = {**doc.get(block, {}), key: value}
+        cfg = write_config(tmp_path, doc)  # json.dumps writes NaN and Infinity
+        code = main(["--config", cfg, "--mode", "sample", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and ("NaN" if math.isnan(value) else "Infinity") in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, main_time, named",
+        [
+            # no run ever leaves level 1, so stage 2 keeps none of its runs
+            ({"total_time": 2.0, "step_size": 0.5, "swap_rate": 1e-9}, 10.0,
+             ("stage 2/8: 0/100 runs reached level 2", "overrides.swap_rate",
+              "overrides.total_time", "schedule.c_samples")),
+            # at beta_1 = 1/25 each step multiplies x by about -9 until it overflows
+            ({"total_time": 1e5, "step_size": 250.0, "swap_rate": 1e-9}, 1e5,
+             ("non-finite", "overrides.step_size")),
+        ],
+        ids=["failed-stage", "overflowing-step"],
+    )
+    def test_failed_run_exits_2_and_names_the_settings(self, tmp_path, capsys, overrides,
+                                                       main_time, named):
+        cfg = write_config(tmp_path, {
+            "version": 1, "seed": 2, "fixture": "two-mode-symmetric",
+            "schedule": {"c_samples": 0.05}, "overrides": overrides,
+            "sample": {"main_time": main_time},
+        })
+        code = main(["--config", cfg, "--mode", "sample", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        for text in named:
+            assert text in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 
 def test_quadratic_form_fixture_gets_the_logconcave_schedule():

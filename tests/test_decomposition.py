@@ -379,6 +379,27 @@ class TestMixtureChain:
             mixture_chain([a, b], np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("builder", ["mixture_chain", "build_projected_chain",
+                                     "build_tempering_chain"])
+def test_nan_weight_is_refused_by_name(builder):
+    grid = np.linspace(-4.0, 4.0, 40)
+    comps = [discretize_density(grid, gauss_masses(grid, c, 1.0)) for c in (-1.0, 1.0)]
+    nan_pair = np.array([np.nan, 0.5])
+    dens = np.stack([c.stationary for c in comps])[None, :, :]
+    call, message = {
+        "mixture_chain": (lambda: mixture_chain(comps, nan_pair), "weights must be positive"),
+        "build_projected_chain": (
+            lambda: build_projected_chain(nan_pair[None, :], np.array([1.0]), dens, 1.0),
+            "comp_weights must be positive",
+        ),
+        "build_tempering_chain": (
+            lambda: build_tempering_chain(comps, nan_pair, 1.0), "rel_probs must be positive"
+        ),
+    }[builder]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # discrete divergences
 
@@ -853,7 +874,7 @@ class TestVerifySimple:
         dens = np.stack([gauss_masses(grid, -1.0, 0.8), gauss_masses(grid, 1.4, 1.0)])
         inst = SimpleInstance(grid=grid, weights=np.array([np.nan, 0.4]), densities=dens,
                               base_rate=1.0 / float(grid[1] - grid[0]) ** 2)
-        with pytest.raises(ValueError, match="stationary must be finite"):
+        with pytest.raises(ValueError, match="weights must be positive"):
             verify_simple_decomposition(inst)
 
     def test_identical_components_trigger_rate_cap_but_pass(self):
@@ -937,7 +958,7 @@ class TestVerifyTempering:
         inst = random_tempering_instance(np.random.default_rng(19))
         cw = inst.comp_weights.copy()
         cw[1, 0] = np.nan
-        with pytest.raises(ValueError, match="stationary must be finite"):
+        with pytest.raises(ValueError, match="weights must be positive"):
             verify_tempering_decomposition(dataclasses.replace(inst, comp_weights=cw))
 
     def test_strength_choices_are_respected(self):

@@ -255,6 +255,21 @@ def test_report_details_serialize_as_plain_json():
     assert details["bound"] == "inf"
     assert details["values"] == [0.0, 1.0, 2.0]
 
+
+def test_infinite_margin_report_is_strict_json():
+    grid = QuadratureGrid.build([(-8.0, 8.0)], nodes_per_axis=400)
+
+    def clipped(x):
+        return np.where(x > 0, math.log(2.0) + gauss_logpdf(0.0, 1.0)(x), -np.inf)
+
+    # the second pair's KL is infinite, so the right-hand side is too
+    std = gauss_logpdf(0.0, 1.0)
+    report = kl_mixture_upper_bound_check([0.5, 0.5], [std, std], [0.5, 0.5], [std, clipped], grid)
+    assert report.passed and report.worst_margin == INFINITY
+    doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert doc["worst_margin"] == "inf"
+    assert doc["details"]["rhs"] == "inf"
+
 def test_temp_scaling_rejects_bad_beta():
     fx = get_fixture("two-mode-symmetric")
     with pytest.raises(ValueError):

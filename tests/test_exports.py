@@ -1,7 +1,9 @@
-"""The package surface: every exported name exists where it is declared."""
+"""The package surface: every exported name exists where it is declared, and the
+package imports nothing beyond the standard library, numpy and jsonschema."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,17 @@ def test_package_reexports_only_public_names():
     stray = [(m, n) for m, n in pairs
              if not n.startswith("_") and n not in importlib.import_module(f"temperlab.{m}").__all__]
     assert stray == []
+
+
+def test_runtime_imports_are_stdlib_numpy_or_jsonschema():
+    # scipy may be installed, but the package must not rely on it
+    allowed = set(sys.stdlib_module_names) | {"numpy", "jsonschema"}
+    found = set()
+    for path in Path(temperlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert "numpy" in found
+    assert sorted(found - allowed) == []

@@ -208,6 +208,36 @@ def test_schedule_constants_validated():
         ScheduleConstants(wmin_exponent=-1)
 
 
+LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accuracy=0.1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TemperatureLadder(betas=[math.nan, 1.0], partition_estimates=np.ones(2)),
+         "beta"),
+        (lambda: replace(build_ladder_gaussian(**GAUSS_ARGS)[1], step_size=math.nan),
+         "step_size"),
+        (lambda: replace(build_ladder_gaussian(**GAUSS_ARGS)[1], swap_rate=math.nan),
+         "swap_rate"),
+        (lambda: replace(build_ladder_gaussian(**GAUSS_ARGS)[1], init_std=math.nan),
+         "init_std"),
+        (lambda: replace(build_ladder_gaussian(**GAUSS_ARGS)[1], total_time=math.inf),
+         "total_time"),
+        (lambda: ScheduleConstants(c_time=math.nan), "c_time"),
+        (lambda: ScheduleConstants(wmin_exponent=math.nan), "wmin_exponent"),
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "D": math.nan}), "D must"),
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "sigma": math.nan}), "sigma"),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "D": math.nan}), "D must"),
+    ],
+    ids=["ladder-beta", "step_size", "swap_rate", "init_std", "inf-total_time", "c_time",
+         "wmin_exponent", "gaussian-D", "gaussian-sigma", "logconcave-D"],
+)
+def test_non_finite_input_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestPartitionEnvelope:
     def make_ladder(self, L=5):
         betas = np.array([2.0 ** (i - L + 1) for i in range(L)])

@@ -49,7 +49,7 @@ def probe_points(fixture, rng, count):
     scale = max(1.0, fixture.D)
     pts = rng.normal(size=(count, d)) * (0.5 * scale)
     if fixture.kind == "adversarial":
-        adv = fixture.oracle.construction
+        adv = fixture.oracle
         u = adv.u
         # park a third of the probes around the far center and the glue shell
         k = count // 3
@@ -281,6 +281,24 @@ class TestMixtureTargetValidation:
         with pytest.raises(DimensionMismatch):
             fx.oracle.value(np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MixtureTarget(dim=1, weights=np.array([np.nan, 0.5]),
+                                   centers=np.zeros((2, 1)),
+                                   base=BaseFunction.isotropic_gaussian(1.0)), "weights"),
+            (lambda: MixtureTarget(dim=1, weights=np.array([0.5, 0.5]),
+                                   centers=np.array([[0.0], [np.nan]]),
+                                   base=BaseFunction.isotropic_gaussian(1.0)), "centers"),
+            (lambda: BaseFunction.isotropic_gaussian(np.nan), "sigma"),
+            (lambda: BaseFunction.quadratic_form(np.eye(2), kappa=np.nan), "envelope"),
+        ],
+        ids=["nan-weight", "nan-center", "nan-sigma", "nan-kappa"],
+    )
+    def test_nan_input_is_refused_by_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestGaussianLogPartition:
     def test_single_component_vs_quadrature(self):
@@ -337,6 +355,23 @@ class TestAdversarialPair:
         for x in np.linspace(0.05, 0.95, 31):
             fd = (adversarial_bump_h(x + 1e-6) - adversarial_bump_h(x - 1e-6)) / 2e-6
             assert abs(adversarial_bump_h_prime(x) - fd) < 1e-8
+
+    def test_fixture_oracle_is_the_construction(self):
+        adv = get_fixture("adversarial-two-variance").oracle
+        assert isinstance(adv, AdversarialTwoGaussian)
+        u, un = adv.u, adv.u_norm
+        rng = np.random.default_rng(8)
+        # the criterion-08 probe mix, at a fifth of its size
+        probes = np.concatenate([
+            rng.uniform(-2.5 * un, 2.5 * un, (800, 4)),
+            rng.standard_normal((300, 4)) * 2.0,
+            u + rng.standard_normal((300, 4)) * 2.0,
+            2.0 * u + rng.uniform(1.4, 1.7, (600, 1)) * un * _unit_rows(rng, 600, 4),
+        ])
+        for x in probes:
+            v, g = adv.value_grad(x)
+            assert adv.value(x) == v
+            assert np.array_equal(adv.grad(x), g)
 
     def test_center_norm(self):
         adv = AdversarialTwoGaussian(dim=4)

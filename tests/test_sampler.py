@@ -698,30 +698,11 @@ def test_estimation_failure_on_degenerate_ratio():
 
 
 def test_estimation_failure_on_rejection_ceiling():
-    # about one event per run, but the coldest of three levels needs two
-    # accepted up-moves; acceptance stays far below the attempt floor and a
-    # tight ceiling must abort the stage with a diagnostic
+    # with a negligible swap rate no run ever leaves level 1, so stage 2 keeps
+    # none of its first 100 runs and the constant ceiling aborts the stage
     orc, ladder, params = small_gaussian_setup(total_time=2.0, eta=0.5, levels=3)
-    params = replace(params, swap_rate=0.5)
+    params = replace(params, swap_rate=1e-9)
     with pytest.raises(EstimationFailure) as err:
-        run_main(
-            orc,
-            ladder,
-            params,
-            RngStream(22),
-            num_final_samples=40,
-            rejection_ceiling=0.3,
-        )
+        run_main(orc, ladder, params, RngStream(22))
+    assert "stage 2/3: 0/100 runs reached level 2" in str(err.value)
     assert "rejection rate" in str(err.value)
-
-
-def test_final_records_kept_on_request():
-    orc, ladder, params = small_gaussian_setup(total_time=10.0, levels=2)
-    result = run_main(
-        orc, ladder, params, RngStream(30), num_final_samples=2,
-        keep_final_records=True,
-    )
-    assert len(result.final_records) == 2
-    for rec in result.final_records:
-        assert rec.accepted
-        assert rec.levels[-1] == 2
