@@ -18,7 +18,6 @@ from .oracles import (
     mixture_grad,
     mixture_log_density,
     mixture_log_density_many,
-    mixture_softmax_weights,
 )
 from .ladder import (
     PartitionCheck,

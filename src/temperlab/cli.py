@@ -11,8 +11,10 @@ Four modes, all reading one JSON config validated against a strict schema:
                         budget on a multimodal target
 
 Exit codes: 0 all checks passed, 1 a check failed (the failing report path
-is printed), 2 usage or config/schema errors, non-finite config numbers, and
-failed sampling runs (a stage that keeps too few runs, a step that overflows).
+is printed), 2 usage or config/schema errors, non-finite config numbers,
+fixtures and schedules the library cannot build from the config's values,
+and failed sampling runs (a stage that keeps too few runs, a step that
+overflows).
 """
 
 from __future__ import annotations
@@ -63,9 +65,17 @@ def _reject_constant(token: str):
     raise ConfigError(f"{token} is not a JSON number; config numbers must be finite")
 
 
+def _finite_float(token: str) -> float:
+    """json.load hook for decimals: one that overflows, such as 1e400, is refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"{token} overflows a float; config numbers must be finite")
+    return value
+
+
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        doc = json.load(fh, parse_constant=_reject_constant)
+        doc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     _validate(doc, "config.schema.json")
     return doc
 
@@ -127,6 +137,8 @@ def _fixture_from_config(config: dict) -> Fixture:
     except jsonschema.ValidationError as e:
         where = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"fixture/{where}: {e.message}") from None
+    except (ValueError, ArithmeticError) as e:
+        raise ConfigError(f"fixture: {type(e).__name__}: {e}") from None
     return Fixture.from_target(
         target, doc.get("name", "inline"), doc.get("description", "inline fixture")
     )
@@ -158,24 +170,26 @@ def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunPar
     return replace(params, **changes)
 
 
-def _schedule_constants(config: dict) -> ScheduleConstants:
-    return ScheduleConstants(**config.get("schedule", {}))
-
-
 def _ladder_for(fixture: Fixture, config: dict):
-    common = dict(w_min=fixture.w_min, target_accuracy=config.get("target_accuracy", 0.1),
-                  constants=_schedule_constants(config))
     base = fixture.target.base if fixture.target is not None else None
-    if base is not None and not base.isotropic:
-        ladder, params = build_ladder_logconcave(
-            fixture.dim, D=fixture.D, kappa=base.kappa, K=base.K, **common
-        )
-    else:
-        # builtins without a mixture target (adversarial) fall back to sigma = 1
-        sigma = base.sigma if base is not None else 1.0
-        ladder, params = build_ladder_gaussian(
-            fixture.dim, D=max(fixture.D, sigma), sigma=sigma, **common
-        )
+    try:
+        common = dict(w_min=fixture.w_min, target_accuracy=config.get("target_accuracy", 0.1),
+                      constants=ScheduleConstants(**config.get("schedule", {})))
+        if base is not None and not base.isotropic:
+            ladder, params = build_ladder_logconcave(
+                fixture.dim, D=fixture.D, kappa=base.kappa, K=base.K, **common
+            )
+        else:
+            # builtins without a mixture target (adversarial) fall back to sigma = 1
+            sigma = base.sigma if base is not None else 1.0
+            ladder, params = build_ladder_gaussian(
+                fixture.dim, D=max(fixture.D, sigma), sigma=sigma, **common
+            )
+    except (ValueError, ArithmeticError) as e:
+        raise ConfigError(
+            f"no schedule for fixture {fixture.name!r} ({type(e).__name__}: {e}); "
+            "change schedule, target_accuracy or the fixture"
+        ) from None
     # the schema limits overrides to swap_rate, step_size, total_time and init_std
     time_key = "schedule.c_time or overrides.total_time"
     return ladder, _run_params(params, "a staged run", time_key, **config.get("overrides", {}))

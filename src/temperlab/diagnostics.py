@@ -1,5 +1,6 @@
-"""Sample-quality diagnostics: binned TV distance, mode occupancy, and
-integrated autocorrelation time."""
+"""Sample-quality diagnostics: binned TV distance (exact bin masses on the
+divergences module's QuadratureGrid), mode occupancy, and integrated
+autocorrelation time."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import MixtureTarget, _component_energies
+from .divergences import GL_ORDER, QuadratureGrid
+from .oracles import MixtureTarget, mixture_log_density_many
 
 __all__ = [
     "HistogramEstimate",
@@ -42,22 +44,6 @@ class HistogramEstimate:
         return self.empirical.shape[0]
 
 
-def _gaussian_density(target: MixtureTarget):
-    """Normalized density of a mixture target (the beta = 1 law), d <= 2."""
-    d = target.dim
-    if d > 2:
-        raise ValueError("binned TV masses are implemented for d <= 2")
-    # 1 / integral of exp(-f0) for f0(z) = z . P z / 2
-    P = np.dot(target.base.precision, np.eye(d))
-    norm = math.sqrt(float(np.linalg.det(P)) / (2.0 * math.pi) ** d)
-    w = target.weights
-
-    def density(pts):
-        return (np.exp(-_component_energies(target, pts)) * w[:, None]).sum(axis=0) * norm
-
-    return density
-
-
 def _axis_span(target: MixtureTarget, axis: int) -> tuple[float, float]:
     mus = target.centers[:, axis]
     pad = 6.0 * target.base.sigma_equiv
@@ -72,72 +58,43 @@ def empirical_tv(
 ) -> tuple[float, HistogramEstimate]:
     """Binned total-variation distance between samples and a 1-d or 2-d target.
 
-    Exact bin masses come from 16-point quadrature per axis inside each bin.
-    Mass outside the span is its own bin on both sides of the comparison, so
-    samples that wander far from the target still register: TV tends to 1,
-    not to 0, when the chain runs away.
+    Exact bin masses are the node masses of the normalized beta = 1 density
+    on the Gauss-Legendre QuadratureGrid with GL_ORDER * bins nodes per axis,
+    whose panels are the histogram bins.  Mass outside the span is its own
+    bin on both sides of the comparison, so samples that wander far from the
+    target still register: TV tends to 1, not to 0, when the chain runs away.
 
     Default span per axis: 6 base standard deviations beyond the extreme
     centers.  For a 2-d target, pass span as ((xlo, xhi), (ylo, yhi)).
     """
     if bins < 20:
         raise ValueError("use at least 20 bins")
-    density = _gaussian_density(target)
     d = target.dim
-    X = np.asarray(samples, dtype=float)
-    X = X.reshape(-1) if d == 1 else X.reshape(-1, d)
+    X = np.asarray(samples, dtype=float).reshape(-1, d)
     if X.shape[0] == 0:
         raise ValueError("need at least one sample")
-
-    t, wt = np.polynomial.legendre.leggauss(16)
-
-    def axis_nodes(edges):
-        a = edges[:-1]
-        half = 0.5 * (edges[1:] - a)
-        mid = a + half
-        return mid[:, None] + half[:, None] * t[None, :], half
-
-    if d == 1:
-        if span is None:
-            span = _axis_span(target, 0)
-        lo, hi = float(span[0]), float(span[1])
-        if not hi > lo:
-            raise ValueError("span must be an increasing pair")
-        edges = np.linspace(lo, hi, bins + 1)
-        counts, _ = np.histogram(X, bins=edges)
-        emp = counts / X.size
-        nodes, half = axis_nodes(edges)
-        vals = density(nodes.ravel()).reshape(bins, 16)
-        exact = (vals * wt[None, :]).sum(axis=1) * half
-    else:
-        if span is None:
-            span = (_axis_span(target, 0), _axis_span(target, 1))
-        (xlo, xhi), (ylo, yhi) = span
-        if not (xhi > xlo and yhi > ylo):
-            raise ValueError("each axis span must be an increasing pair")
-        ex = np.linspace(float(xlo), float(xhi), bins + 1)
-        ey = np.linspace(float(ylo), float(yhi), bins + 1)
-        counts, _, _ = np.histogram2d(X[:, 0], X[:, 1], bins=(ex, ey))
-        emp = counts / X.shape[0]
-        nx, hx = axis_nodes(ex)
-        ny, hy = axis_nodes(ey)
-        pts = np.stack(
-            [
-                np.broadcast_to(nx[:, None, :, None], (bins, bins, 16, 16)),
-                np.broadcast_to(ny[None, :, None, :], (bins, bins, 16, 16)),
-            ],
-            axis=-1,
-        )
-        vals = density(pts.reshape(-1, 2)).reshape(bins, bins, 16, 16)
-        exact = np.einsum("abij,i,j->ab", vals, wt, wt)
-        exact *= hx[:, None] * hy[None, :]
-        edges = np.stack([ex, ey])
+    if span is None:
+        span = tuple(_axis_span(target, k) for k in range(d))
+    elif d == 1:
+        span = (span,)
+    grid = QuadratureGrid.build(span, nodes_per_axis=GL_ORDER * bins, rule="gauss-legendre")
+    edges = np.array([np.linspace(lo, hi, bins + 1) for lo, hi in grid.bounds])
+    counts = (
+        np.histogram(X[:, 0], bins=edges[0])[0] if d == 1
+        else np.histogram2d(X[:, 0], X[:, 1], bins=tuple(edges))[0]
+    )
+    emp = counts / X.shape[0]
+    # log(1 / int exp(-f0)) for f0(z) = z . P z / 2
+    _, logdet = np.linalg.slogdet(np.dot(target.base.precision, np.eye(d)))
+    log_norm = 0.5 * (logdet - d * math.log(2.0 * math.pi))
+    mass = np.exp(log_norm - mixture_log_density_many(target, grid.points)) * grid.weights
+    exact = mass.reshape((bins, GL_ORDER) * d).sum(axis=tuple(range(1, 2 * d, 2)))
 
     out_frac = 1.0 - float(emp.sum())
     exact_out = max(0.0, 1.0 - float(exact.sum()))
     tv = 0.5 * (float(np.abs(emp - exact).sum()) + abs(out_frac - exact_out))
     hist = HistogramEstimate(
-        edges=edges,
+        edges=edges[0] if d == 1 else edges,
         empirical=emp,
         exact=exact,
         out_fraction=out_frac,

@@ -42,6 +42,8 @@ INFINITY = float("inf")
 # infinite for every purpose downstream
 _LOG_CAP = 700.0
 
+GL_ORDER = 16  # nodes per panel of the gauss-legendre rule
+
 
 class NormalizationError(ValueError):
     """A density failed to integrate to 1 within tolerance on its grid."""
@@ -55,16 +57,12 @@ def _axis_nodes(lo: float, hi: float, n: int, rule: str):
         w[-1] *= 0.5
         return x, w
     if rule == "gauss-legendre":
-        order = 16
-        panels = max(1, math.ceil(n / order))
-        t, wt = np.polynomial.legendre.leggauss(order)
+        panels = max(1, math.ceil(n / GL_ORDER))
+        t, wt = np.polynomial.legendre.leggauss(GL_ORDER)
         edges = np.linspace(lo, hi, panels + 1)
-        xs, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            xs.append(half * t + 0.5 * (a + b))
-            ws.append(half * wt)
-        return np.concatenate(xs), np.concatenate(ws)
+        a, b = edges[:-1, None], edges[1:, None]
+        half = 0.5 * (b - a)
+        return (half * t + 0.5 * (a + b)).ravel(), (half * wt).ravel()
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
@@ -73,7 +71,10 @@ class QuadratureGrid:
     """Deterministic integration grid on an axis-aligned box, dim 1 or 2.
 
     Callables receive points shaped (N,) in one dimension and (N, 2) in two,
-    and must return (N,) values; the divergences take log-densities.
+    and must return (N,) values; the divergences take log-densities.  The
+    integral of values v on the nodes is weights @ v.  The gauss-legendre
+    rule puts GL_ORDER nodes in each of ceil(n/GL_ORDER) equal panels per
+    axis; 2-d nodes are the ij-ordered product of the two axes.
     """
 
     dim: int
@@ -88,12 +89,12 @@ class QuadratureGrid:
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         dim = len(bounds)
         if dim not in (1, 2):
-            raise ValueError("quadrature grids support dimension 1 and 2 only")
+            raise ValueError(f"quadrature grids support dimension 1 or 2 (d <= 2), got d = {dim}")
         if nodes_per_axis < 64:
             raise ValueError("need at least 64 nodes per axis")
         for lo, hi in bounds:
             if not hi > lo:
-                raise ValueError("each bound must satisfy lo < hi")
+                raise ValueError("each axis bound must be an increasing pair lo < hi")
         axes = [_axis_nodes(lo, hi, nodes_per_axis, rule) for lo, hi in bounds]
         if dim == 1:
             pts, w = axes[0]
@@ -131,9 +132,6 @@ class QuadratureGrid:
         if vals.shape != (self.points.shape[0],):
             raise ValueError("density callable must return one value per node")
         return vals
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
 
 
 def _log_normalized(grid: QuadratureGrid, log_density, tol: float = 1e-4, name: str = "density"):

@@ -115,7 +115,6 @@ class RunParams:
     init_std: float
     target_accuracy: float
     constants: ScheduleConstants = field(default_factory=ScheduleConstants)
-    eta_terms: tuple = ()
     eta_active: str = ""
 
     def __post_init__(self):
@@ -132,6 +131,8 @@ def _geometric_ladder(beta1: float, ratio: float) -> np.ndarray:
     """beta1 * ratio^k capped so the last level is exactly 1."""
     if beta1 >= 1.0:
         return np.array([1.0])
+    if not beta1 >= np.finfo(float).tiny:  # else ratio^k overflows
+        raise ValueError(f"beta1 = {beta1:.3g} is below the float range; raise c_beta1")
     k = math.ceil(-math.log(beta1) / math.log(ratio))
     betas = beta1 * ratio ** np.arange(k + 1)
     betas[-1] = 1.0
@@ -163,7 +164,6 @@ def _schedule(betas, lam, T, terms, eta_scale, init_std, eps, c):
         init_std=init_std,
         target_accuracy=eps,
         constants=c,
-        eta_terms=tuple(sorted(terms.items())),
         eta_active=active,
     )
     return ladder, params
@@ -186,11 +186,11 @@ def build_ladder_gaussian(
     """
     c = constants or ScheduleConstants()
     _check_common(dim, w_min, target_accuracy)
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    if not D >= sigma:
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and > 0")
+    if not sigma <= D < math.inf:
         raise ValueError(
-            f"D must be at least sigma (the scale bound is "
+            f"D must be finite and at least sigma (the scale bound is "
             f"max(center norm, sigma)); got D={D} < sigma={sigma}"
         )
 
@@ -232,12 +232,12 @@ def build_ladder_logconcave(
     """
     c = constants or ScheduleConstants()
     _check_common(dim, w_min, target_accuracy)
-    if not 0 < kappa <= K:
-        raise ValueError("need 0 < kappa <= K")
+    if not 0 < kappa <= K < math.inf:
+        raise ValueError(f"need 0 < kappa <= K < inf; got kappa={kappa}, K={K}")
     floor = math.sqrt(kappa) / (math.sqrt(dim) * K)
-    if not D >= floor:
+    if not floor <= D < math.inf:
         raise ValueError(
-            f"D must be at least sqrt(kappa)/(sqrt(dim)*K) = {floor:.6g}; "
+            f"D must be finite and at least sqrt(kappa)/(sqrt(dim)*K) = {floor:.6g}; "
             f"got D={D}"
         )
 

@@ -34,7 +34,6 @@ __all__ = [
     "mixture_log_density",
     "mixture_log_density_many",
     "mixture_grad",
-    "mixture_softmax_weights",
     "gaussian_log_partition",
     "adversarial_bump_h",
     "adversarial_bump_h_prime",
@@ -97,8 +96,8 @@ class BaseFunction:
     @staticmethod
     def isotropic_gaussian(sigma: float) -> "BaseFunction":
         sigma = float(sigma)
-        if not sigma > 0:
-            raise ValueError("isotropic-gaussian base needs sigma > 0")
+        if not 0 < sigma < math.inf:
+            raise ValueError("isotropic-gaussian base needs a finite sigma > 0")
         k = 1.0 / sigma**2
         return BaseFunction(precision=k, kappa=k, K=k)
 
@@ -115,6 +114,8 @@ class BaseFunction:
             raise ValueError("H must be positive definite")
         kap = kappa if kappa is not None else lo
         big = K if K is not None else hi
+        if not big < math.inf:
+            raise ValueError(f"the declared envelope needs a finite K, got K={big}")
         # the declared envelope must actually contain the spectrum
         if not kap - 1e-12 <= lo <= hi <= big + 1e-12:
             raise ValueError(
@@ -171,7 +172,7 @@ class MixtureTarget:
         if not np.all(w > 0):
             raise ValueError("all mixture weights must be positive")
         if not abs(float(w.sum()) - 1.0) <= 1e-12:
-            raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
+            raise ValueError(f"weights must sum to 1 (got {float(w.sum())!r})")
         if c.shape != (w.size, self.dim):
             raise DimensionMismatch(
                 f"centers must have shape ({w.size}, {self.dim}), got {c.shape}"
@@ -192,14 +193,12 @@ class MixtureTarget:
     def w_min(self) -> float:
         return float(self.weights.min())
 
-    @property
-    def center_norm_bound(self) -> float:
-        """max_j |mu_j|."""
-        return float(np.max(np.linalg.norm(self.centers, axis=1)))
-
     def scale_bound(self) -> float:
-        """max(max_j |mu_j|, base length scale); the D a ladder builder wants."""
-        return max(self.center_norm_bound, self.base.sigma_equiv)
+        """max(max_j |mu_j|, base length scale); the D a ladder builder wants.
+        A norm past the float range is inf, which the ladder builders refuse."""
+        with np.errstate(over="ignore"):
+            norm = float(np.max(np.linalg.norm(self.centers, axis=1)))
+        return max(norm, self.base.sigma_equiv)
 
 
 def _component_energies(target: MixtureTarget, X) -> np.ndarray:
@@ -226,12 +225,6 @@ def mixture_log_density(target: MixtureTarget, x) -> float:
 def mixture_log_density_many(target: MixtureTarget, X: np.ndarray) -> np.ndarray:
     """f on rows of X, shape (n, d) -> (n,).  Batch twin of mixture_log_density."""
     return -_logsumexp(target._log_w[:, None] - _component_energies(target, X), axis=0)
-
-
-def mixture_softmax_weights(target: MixtureTarget, x) -> np.ndarray:
-    """Posterior component weights w_j e^{-f0(x-mu_j)} / sum; they sum to 1."""
-    x = _as_vector(x, target.dim)
-    return _softmax(target._log_w - target.base.value_many(x[None, :] - target.centers))
 
 
 def mixture_grad(target: MixtureTarget, x) -> np.ndarray:
@@ -339,7 +332,7 @@ class AdversarialTwoGaussian(DensityOracle):
     oracle its value and grad are those of the modified function.
 
     f1 is the wide component (variance 2), f2 the narrow one (variance 1)
-    centered at u with |u| = 8 d ln 2.  The modified function is
+    centered at u = (8 d ln 2) e_1.  The modified function is
 
         ftilde = g*f1 + (1-g)*f,   g(x) = h(10(|x-2u|/|u| - 1.5)),
 
@@ -347,24 +340,13 @@ class AdversarialTwoGaussian(DensityOracle):
     """
 
     dim: int
-    direction: np.ndarray | None = None
     u: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.direction is None:
-            e = np.zeros(self.dim)
-            e[0] = 1.0
-        else:
-            e = np.asarray(self.direction, dtype=float)
-            if e.shape != (self.dim,):
-                raise DimensionMismatch("direction must be a d-vector")
-            nrm = np.linalg.norm(e)
-            if nrm == 0:
-                raise ValueError("direction must be nonzero")
-            e = e / nrm
-        self.u = (8.0 * self.dim * math.log(2.0)) * e
+        self.u = np.zeros(self.dim)
+        self.u[0] = 8.0 * self.dim * math.log(2.0)
 
     @property
     def u_norm(self) -> float:

@@ -169,14 +169,20 @@ def langevin_step(
     Draws exactly one standard-normal vector per call, in the order steps
     occur, so a caller replaying the stream reproduces positions bit for bit.
     A step that lands on a non-finite position (a non-finite gradient, or an
-    overflow) raises NonFiniteGradient with x, as the runners do.
+    overflow) or whose gradient meets an invalid operation (inf - inf in the
+    softmax of overflowed energies) raises NonFiniteGradient with x, as the
+    runners do.
     """
     if eta <= 0:
         raise ValueError("eta must be > 0")
     if beta <= 0:
         raise ValueError("beta must be > 0")
     x = np.asarray(x, dtype=float)
-    g = beta * np.asarray(oracle.grad(x), dtype=float)
+    try:
+        with np.errstate(invalid="raise"):
+            g = beta * np.asarray(oracle.grad(x), dtype=float)
+    except FloatingPointError:
+        raise NonFiniteGradient(x) from None
     x_new = x - eta * g + math.sqrt(2.0 * eta) * rng.normal(x.shape)
     if not np.all(np.isfinite(x_new)):
         raise NonFiniteGradient(x)
@@ -193,20 +199,26 @@ def _langevin_steps(grad, beta, x, m, h, rng, rec, step0, t0, level, thin) -> np
     step index step0 + j is a multiple of thin.  Noise rows come in blocks;
     bitwise the same stream as one draw per step, so a langevin_step replay
     reproduces the trajectory exactly.  A step that lands on a non-finite
-    position (a non-finite gradient, or an overflow) raises NonFiniteGradient
-    with the last finite position, so every recorded position is finite.
+    position (a non-finite gradient, or an overflow) or meets an invalid
+    operation, under one np.errstate(invalid="raise") per call, raises
+    NonFiniteGradient with the last finite position, so every recorded
+    position is finite.
     """
     c = math.sqrt(2.0 * h)
-    for b in range(0, m, _NOISE_BLOCK):
-        noise = rng.normal((min(_NOISE_BLOCK, m - b), x.size))
-        for i, xi in enumerate(noise):
-            x_new = x - h * (beta * grad(x)) + c * xi
-            if not np.all(np.isfinite(x_new)):
-                raise NonFiniteGradient(x)
-            x = x_new
-            j = b + i + 1
-            if (step0 + j) % thin == 0:
-                rec.append(step0 + j, t0 + j * h, level, x)
+    try:
+        with np.errstate(invalid="raise"):
+            for b in range(0, m, _NOISE_BLOCK):
+                noise = rng.normal((min(_NOISE_BLOCK, m - b), x.size))
+                for i, xi in enumerate(noise):
+                    x_new = x - h * (beta * grad(x)) + c * xi
+                    if not np.all(np.isfinite(x_new)):
+                        raise NonFiniteGradient(x)
+                    x = x_new
+                    j = b + i + 1
+                    if (step0 + j) % thin == 0:
+                        rec.append(step0 + j, t0 + j * h, level, x)
+    except FloatingPointError:
+        raise NonFiniteGradient(x) from None
     return x
 
 

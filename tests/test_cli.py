@@ -225,6 +225,30 @@ class TestConfigValidation:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"fixture": {**TINY_MIXTURE, "weights": [0.7, 0.7]}}, "fixture"),
+            # json.dumps cannot write 1e400, so the text is patched in below
+            ({"fixture": {**TINY_MIXTURE, "weights": [1.0], "centers": [["@1e400"]]}}, "1e400"),
+            ({"fixture": {**TINY_MIXTURE, "weights": [1.0], "centers": [[1e300]]}}, "schedule"),
+            ({"fixture": {**TINY_MIXTURE, "base": {"kind": "isotropic-gaussian", "sigma": 1e300}}},
+             "fixture"),
+            ({"schedule": {"c_samples": 0.05, "wmin_exponent": 2000}}, "schedule"),
+            ({"schedule": {"c_samples": 0.05, "c_beta1": 1e-320}}, "schedule"),
+        ],
+        ids=["weights-sum", "center-1e400", "center-1e300", "sigma-1e300", "wmin_exponent-2000",
+             "c_beta1-1e-320"],
+    )
+    def test_unusable_config_value_exits_2(self, tmp_path, capsys, change, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**sample_config(), **change}).replace('"@1e400"', "1e400"))
+        code = main(["--config", str(path), "--mode", "sample", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "overrides, main_time, named",
         [
             # no run ever leaves level 1, so stage 2 keeps none of its runs

@@ -29,6 +29,12 @@ def draw_from_target(target, n, rng):
     return target.centers[comp] + sigma * rng.standard_normal((n, target.dim))
 
 
+def erf_bin_masses(edges, mean, sigma):
+    """Gaussian mass of each bin [edges[k], edges[k+1]] from math.erf."""
+    cdf = [0.5 * (1.0 + math.erf((e - mean) / (sigma * math.sqrt(2.0)))) for e in edges]
+    return np.diff(cdf)
+
+
 class TestEmpiricalTV:
     def test_direct_samples_land_below_noise_floor(self):
         target = two_mode_target()
@@ -75,6 +81,31 @@ class TestEmpiricalTV:
         _, hist = empirical_tv(np.zeros(100), target, bins=20)
         assert hist.edges[0] == pytest.approx(-11.0)
         assert hist.edges[-1] == pytest.approx(11.0)
+
+    def test_one_dimensional_bin_masses_match_erf(self):
+        target = MixtureTarget(
+            weights=np.array([1.0]),
+            centers=np.array([[0.7]]),
+            base=BaseFunction.isotropic_gaussian(1.3),
+            dim=1,
+        )
+        _, hist = empirical_tv(np.zeros(10), target, bins=40)
+        expected = erf_bin_masses(hist.edges, 0.7, 1.3)
+        np.testing.assert_allclose(hist.exact, expected, rtol=0.0, atol=1e-12)
+
+    def test_two_dimensional_bin_masses_are_erf_products_in_axis_order(self):
+        # unequal spans and an off-center mode, so a transposed reshape shows
+        target = MixtureTarget(
+            weights=np.array([1.0]),
+            centers=np.array([[1.0, -0.5]]),
+            base=BaseFunction.isotropic_gaussian(1.0),
+            dim=2,
+        )
+        span = ((-5.0, 7.0), (-4.0, 3.0))
+        _, hist = empirical_tv(np.zeros((10, 2)), target, bins=20, span=span)
+        mx = erf_bin_masses(hist.edges[0], 1.0, 1.0)
+        my = erf_bin_masses(hist.edges[1], -0.5, 1.0)
+        np.testing.assert_allclose(hist.exact, np.outer(mx, my), rtol=0.0, atol=1e-12)
 
     def test_two_dimensional_target(self):
         base = BaseFunction.isotropic_gaussian(1.0)

@@ -229,9 +229,15 @@ LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accurac
         (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "D": math.nan}), "D must"),
         (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "sigma": math.nan}), "sigma"),
         (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "D": math.nan}), "D must"),
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "D": math.inf}), "D must"),
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "sigma": math.inf}), "sigma"),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "D": math.inf}), "D must"),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "kappa": math.inf}), "kappa="),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "K": math.inf}), "K="),
     ],
     ids=["ladder-beta", "step_size", "swap_rate", "init_std", "inf-total_time", "c_time",
-         "wmin_exponent", "gaussian-D", "gaussian-sigma", "logconcave-D"],
+         "wmin_exponent", "gaussian-D", "gaussian-sigma", "logconcave-D", "inf-gaussian-D",
+         "inf-gaussian-sigma", "inf-logconcave-D", "inf-kappa", "inf-K"],
 )
 def test_non_finite_input_is_refused_by_name(build, message):
     with pytest.raises(ValueError, match=message):

@@ -28,7 +28,6 @@ from temperlab import (
     mixture_grad,
     mixture_log_density,
     mixture_log_density_many,
-    mixture_softmax_weights,
 )
 from temperlab.oracles import _logsumexp
 
@@ -92,21 +91,6 @@ def test_log_density_permutation_invariant():
         a = mixture_log_density(t1, x)
         b = mixture_log_density(t2, x)
         assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
-
-
-def test_softmax_weights_sum_to_one():
-    rng = np.random.default_rng(11)
-    base = BaseFunction.isotropic_gaussian(1.0)
-    t = MixtureTarget(
-        dim=1,
-        weights=np.array([0.5, 0.5]),
-        centers=np.array([[-40.0], [40.0]]),  # exponents far below -700
-        base=base,
-    )
-    for x in rng.uniform(-50, 50, size=200):
-        w = mixture_softmax_weights(t, np.array([x]))
-        assert abs(w.sum() - 1.0) <= 1e-12
-        assert np.all(w >= 0)
 
 
 def test_potential_well_separated_matches_nearest_mode():
@@ -292,8 +276,12 @@ class TestMixtureTargetValidation:
                                    base=BaseFunction.isotropic_gaussian(1.0)), "centers"),
             (lambda: BaseFunction.isotropic_gaussian(np.nan), "sigma"),
             (lambda: BaseFunction.quadratic_form(np.eye(2), kappa=np.nan), "envelope"),
+            (lambda: BaseFunction.isotropic_gaussian(np.inf), "sigma"),
+            (lambda: BaseFunction.quadratic_form(np.eye(2), kappa=np.inf), "kappa=inf"),
+            (lambda: BaseFunction.quadratic_form(np.eye(2), K=np.inf), "finite K"),
         ],
-        ids=["nan-weight", "nan-center", "nan-sigma", "nan-kappa"],
+        ids=["nan-weight", "nan-center", "nan-sigma", "nan-kappa", "inf-sigma", "inf-kappa",
+             "inf-K"],
     )
     def test_nan_input_is_refused_by_name(self, build, message):
         with pytest.raises(ValueError, match=message):
