@@ -73,9 +73,13 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed: int | None) -> dict:
+    """The config at `path`, with `seed` (when given) in place of its seed,
+    validated after the replacement so the schema checks the override too."""
     with open(path) as fh:
         doc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
     _validate(doc, "config.schema.json")
     return doc
 
@@ -165,7 +169,7 @@ def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunPar
         raise ConfigError(
             f"{run} would take {steps:.3g} Langevin steps (total time {total_time:.6g} / "
             f"step size {step_size:.6g}), more than {MAX_RUN_STEPS:.0e}; raise "
-            f"schedule.c_step or overrides.step_size, or lower {time_key}"
+            f"overrides.step_size, or lower {time_key}"
         )
     return replace(params, **changes)
 
@@ -173,7 +177,7 @@ def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunPar
 def _ladder_for(fixture: Fixture, config: dict):
     base = fixture.target.base if fixture.target is not None else None
     try:
-        common = dict(w_min=fixture.w_min, target_accuracy=config.get("target_accuracy", 0.1),
+        common = dict(w_min=fixture.w_min, target_accuracy=0.1,
                       constants=ScheduleConstants(**config.get("schedule", {})))
         if base is not None and not base.isotropic:
             ladder, params = build_ladder_logconcave(
@@ -185,14 +189,13 @@ def _ladder_for(fixture: Fixture, config: dict):
             ladder, params = build_ladder_gaussian(
                 fixture.dim, D=max(fixture.D, sigma), sigma=sigma, **common
             )
-    except (ValueError, ArithmeticError) as e:
+    except ValueError as e:
         raise ConfigError(
-            f"no schedule for fixture {fixture.name!r} ({type(e).__name__}: {e}); "
-            "change schedule, target_accuracy or the fixture"
+            f"no schedule for fixture {fixture.name!r} ({e}); change the fixture"
         ) from None
-    # the schema limits overrides to swap_rate, step_size, total_time and init_std
-    time_key = "schedule.c_time or overrides.total_time"
-    return ladder, _run_params(params, "a staged run", time_key, **config.get("overrides", {}))
+    # the schema limits overrides to swap_rate, step_size and total_time
+    return ladder, _run_params(params, "a staged run", "overrides.total_time",
+                               **config.get("overrides", {}))
 
 
 def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
@@ -204,21 +207,18 @@ def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
     main_time = cfg.get("main_time", params.total_time)
     long_params = _run_params(params, "the long run", f"{section}.main_time",
                               total_time=main_time)
-    confidence = cfg.get("confidence", 0.05)
     L = ladder.num_levels
-    need = _samples_per_stage(params, L, confidence)
+    need = _samples_per_stage(params, L)
     steps = params.total_time / params.step_size
     if steps * ((L - 1) * need + 1) > MAX_RUN_STEPS:
         raise ConfigError(
             f"staging would take at least {steps * ((L - 1) * need + 1):.3g} Langevin steps "
             f"({L - 1} stages of {need} kept runs of {steps:.3g} steps, plus the final run), "
             f"more than {MAX_RUN_STEPS:.0e}; lower schedule.c_samples, raise "
-            f"overrides.step_size, or lower schedule.c_time or overrides.total_time"
+            f"overrides.step_size, or lower overrides.total_time"
         )
     rng = RngStream(config["seed"])
-    staged = run_main(
-        fixture.oracle, ladder, params, rng, confidence=confidence, num_final_samples=1
-    )
+    staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)
     full = ladder.with_partition_estimates(staged.zhat)
     rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
     return ladder, long_params, staged, rec, rng
@@ -386,8 +386,9 @@ def _gaussian_log_density(mean, sigma):
     return log_density
 
 
-def _gaussian_pair_cases(rng: np.random.Generator, count: int, rel_tol: float) -> dict:
+def _gaussian_pair_cases(rng: np.random.Generator, count: int) -> dict:
     """Closed-form Gaussian chi-squared against quadrature, `count` pairs."""
+    rel_tol = 1e-5
     worst = 0.0
     cases = []
     # pinned reference pair first: chi^2(N(1,1) || N(0,1)) = e - 1
@@ -431,11 +432,10 @@ def _gaussian_pair_cases(rng: np.random.Generator, count: int, rel_tol: float) -
 def _mode_verify_divergences(config: dict, out_dir: Path) -> bool:
     v = config.get("verify", {})
     count = v.get("num_gaussian_pairs", 50)
-    rel_tol = v.get("tolerance_rel", 1e-5)
     num_probes = v.get("num_probes", 10000)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config["seed"])))
 
-    checks = [_gaussian_pair_cases(rng, count, rel_tol)]
+    checks = [_gaussian_pair_cases(rng, count)]
 
     betas = np.linspace(0.05, 1.0, 12)
     for name in ("single-gaussian", "two-mode-symmetric", "two-mode-asymmetric", "simplex-centers"):
@@ -598,7 +598,7 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
 
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, args.seed)
     except jsonschema.ValidationError as e:
         where = "/".join(str(p) for p in e.absolute_path) or "<root>"
         print(f"config error: {where}: {e.message}", file=sys.stderr)
@@ -606,8 +606,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config["seed"] = args.seed
 
     out_dir = Path(args.out or "artifacts")
     out_dir.mkdir(parents=True, exist_ok=True)

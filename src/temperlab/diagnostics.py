@@ -140,7 +140,7 @@ class AutocorrEstimate:
     degenerate: bool
 
 
-def integrated_autocorr(series: np.ndarray, max_lag: int | None = None) -> AutocorrEstimate:
+def integrated_autocorr(series: np.ndarray) -> AutocorrEstimate:
     """Initial-positive-sequence estimate of the autocorrelation time.
 
     Pairs consecutive autocorrelations (rho_2m + rho_2m+1) and truncates at
@@ -155,7 +155,6 @@ def integrated_autocorr(series: np.ndarray, max_lag: int | None = None) -> Autoc
     var = float(x @ x) / n
     if var <= 0.0 or not math.isfinite(var):
         return AutocorrEstimate(tau_int=1.0, ess=float(n), lag=0, degenerate=True)
-    limit = n - 1 if max_lag is None else min(max_lag, n - 1)
 
     # autocovariances by FFT; biased normalization (divide by n) keeps the
     # sequence positive definite
@@ -163,13 +162,13 @@ def integrated_autocorr(series: np.ndarray, max_lag: int | None = None) -> Autoc
     while size < 2 * n:
         size *= 2
     F = np.fft.rfft(x, size)
-    acov = np.fft.irfft(F * np.conjugate(F), size)[: limit + 1] / n
+    acov = np.fft.irfft(F * np.conjugate(F), size)[:n] / n
     rho = acov / acov[0]
 
     tau = -1.0
     lag = 0
     m = 0
-    while 2 * m + 1 <= limit:
+    while 2 * m + 1 < n:
         gamma = rho[2 * m] + rho[2 * m + 1]
         if gamma <= 0.0:
             break

@@ -7,9 +7,10 @@ length, step size, initial spread) from a handful of problem parameters:
 dimension, center spread D, base-function scale, minimum weight, and target
 accuracy.  The two builders share one validation and one RunParams assembly.
 
-Schedules here scale correctly but are conservative; ScheduleConstants holds
-the tunable leading constants, and the wmin exponent on the chain length is
-itself a knob (default 4).
+The schedules' leading constants are literals (1 on beta_1 and the swap
+rate, 10 on the chain time with its 1/w_min^4, 0.1 on the step): they scale
+correctly but are conservative, and desk-scale runs replace total_time,
+step_size and swap_rate of the RunParams.
 """
 
 from __future__ import annotations
@@ -32,30 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScheduleConstants:
-    """Leading constants of the schedule formulas; all tunable.
+    """The tunable leading constant of the staged driver.
 
-    c_beta1   multiplies the coldest inverse temperature.
-    c_rate    multiplies the level-swap rate.
-    c_time    multiplies the total chain time.
-    c_step    multiplies the discretization step.
-    c_samples multiplies the per-stage sample count.
-    wmin_exponent is the power on 1/w_min in the chain-time formula; tunable
-    because the safe default (4) is badly pessimistic for most targets.
+    c_samples multiplies the per-stage sample count,
+    ceil(c_samples L^2 log(1/confidence)).
     """
 
-    c_beta1: float = 1.0
-    c_rate: float = 1.0
-    c_time: float = 10.0
-    c_step: float = 0.1
     c_samples: float = 1.0
-    wmin_exponent: float = 4.0
 
     def __post_init__(self):
-        for name in ("c_beta1", "c_rate", "c_time", "c_step", "c_samples"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.wmin_exponent >= 0:
-            raise ValueError("wmin_exponent must be >= 0")
+        if not self.c_samples > 0:
+            raise ValueError("c_samples must be > 0")
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,6 @@ class RunParams:
     init_std: float
     target_accuracy: float
     constants: ScheduleConstants = field(default_factory=ScheduleConstants)
-    eta_active: str = ""
 
     def __post_init__(self):
         for name in ("swap_rate", "step_size", "total_time", "init_std"):
@@ -132,7 +119,7 @@ def _geometric_ladder(beta1: float, ratio: float) -> np.ndarray:
     if beta1 >= 1.0:
         return np.array([1.0])
     if not beta1 >= np.finfo(float).tiny:  # else ratio^k overflows
-        raise ValueError(f"beta1 = {beta1:.3g} is below the float range; raise c_beta1")
+        raise OverflowError(f"beta1 = {beta1:.3g} is below the normal float range")
     k = math.ceil(-math.log(beta1) / math.log(ratio))
     betas = beta1 * ratio ** np.arange(k + 1)
     betas[-1] = 1.0
@@ -152,19 +139,17 @@ def _check_common(dim: int, w_min: float, target_accuracy: float) -> None:
         raise ValueError("target_accuracy must be in (0, 1)")
 
 
-def _schedule(betas, lam, T, terms, eta_scale, init_std, eps, c):
-    """Ladder on `betas` and its RunParams, stepping c_step * eta_scale times
-    the smallest of the step terms."""
+def _schedule(betas, D, T, terms, eta_scale, init_std, eps, c):
+    """Ladder on `betas` and its RunParams: swap rate 1 / D^2, and a step of
+    0.1 * eta_scale times the smallest of the step terms."""
     ladder = TemperatureLadder(betas=betas, partition_estimates=np.ones(betas.size))
-    active = min(terms, key=terms.get)
     params = RunParams(
-        swap_rate=lam,
-        step_size=c.c_step * eta_scale * terms[active],
+        swap_rate=1.0 / D**2,
+        step_size=0.1 * eta_scale * min(terms),
         total_time=T,
         init_std=init_std,
         target_accuracy=eps,
         constants=c,
-        eta_active=active,
     )
     return ladder, params
 
@@ -194,25 +179,26 @@ def build_ladder_gaussian(
             f"max(center norm, sigma)); got D={D} < sigma={sigma}"
         )
 
-    beta1 = min(c.c_beta1 * sigma**2 / D**2, 1.0)
-    ratio = 1.0 + 1.0 / (dim + math.log(1.0 / w_min))
-    betas = _geometric_ladder(beta1, ratio)
-    L = betas.size
     eps = target_accuracy
-    T = (
-        c.c_time
-        * L**2
-        * D**2
-        * math.log(L / (eps * w_min))
-        / w_min**c.wmin_exponent
-    )
-    terms = {
-        "diffusion": sigma**4 / ((D / sigma + math.sqrt(dim)) * T),
-        "spread": 1.0 / math.sqrt(D),
-        "drift": sigma * eps / (dim * T),
-    }
-    return _schedule(betas, c.c_rate / D**2, T, terms, sigma**3 * eps / D**2,
-                     sigma / math.sqrt(beta1), eps, c)
+    try:
+        beta1 = min(sigma**2 / D**2, 1.0)
+        ratio = 1.0 + 1.0 / (dim + math.log(1.0 / w_min))
+        betas = _geometric_ladder(beta1, ratio)
+        L = betas.size
+        T = 10.0 * L**2 * D**2 * math.log(L / (eps * w_min)) / w_min**4.0
+        # diffusion, spread and drift limits on the step
+        terms = (
+            sigma**4 / ((D / sigma + math.sqrt(dim)) * T),
+            1.0 / math.sqrt(D),
+            sigma * eps / (dim * T),
+        )
+        return _schedule(betas, D, T, terms, sigma**3 * eps / D**2,
+                         sigma / math.sqrt(beta1), eps, c)
+    except (OverflowError, ZeroDivisionError) as e:
+        raise ValueError(
+            f"no Gaussian schedule for sigma={sigma}, D={D}, dim={dim}, w_min={w_min}, "
+            f"target_accuracy={eps}: {e}"
+        ) from None
 
 
 def build_ladder_logconcave(
@@ -241,27 +227,27 @@ def build_ladder_logconcave(
             f"got D={D}"
         )
 
-    beta1 = min(c.c_beta1 * kappa / (dim * K**2 * D**2), 1.0)
-    # log(K/kappa) + 1 so the well-conditioned case kappa = K stays sane
-    cond = math.log(K / kappa) + 1.0
-    ratio = 1.0 + kappa / (K * dim * cond)
-    betas = _geometric_ladder(beta1, ratio)
-    L = betas.size
     eps = target_accuracy
-    T = (
-        c.c_time
-        * (L**2 * D**2 / w_min**c.wmin_exponent)
-        * dim
-        * math.log(L / (eps * w_min))
-        * cond
-    )
-    terms = {
-        "diffusion": eps / (D**2 * K**3.5 * (D * K / math.sqrt(kappa) + math.sqrt(dim)) * T),
-        "spread": eps / (D**2.5 * K**1.5 * (math.sqrt(K / kappa) + 1.0)),
-        "drift": eps / (D**2 * K**2 * dim * T),
-    }
-    return _schedule(betas, c.c_rate / D**2, T, terms, 1.0,
-                     1.0 / math.sqrt(kappa * beta1), eps, c)
+    try:
+        beta1 = min(kappa / (dim * K**2 * D**2), 1.0)
+        # log(K/kappa) + 1 so the well-conditioned case kappa = K stays sane
+        cond = math.log(K / kappa) + 1.0
+        ratio = 1.0 + kappa / (K * dim * cond)
+        betas = _geometric_ladder(beta1, ratio)
+        L = betas.size
+        T = 10.0 * (L**2 * D**2 / w_min**4.0) * dim * math.log(L / (eps * w_min)) * cond
+        # diffusion, spread and drift limits on the step
+        terms = (
+            eps / (D**2 * K**3.5 * (D * K / math.sqrt(kappa) + math.sqrt(dim)) * T),
+            eps / (D**2.5 * K**1.5 * (math.sqrt(K / kappa) + 1.0)),
+            eps / (D**2 * K**2 * dim * T),
+        )
+        return _schedule(betas, D, T, terms, 1.0, 1.0 / math.sqrt(kappa * beta1), eps, c)
+    except (OverflowError, ZeroDivisionError) as e:
+        raise ValueError(
+            f"no log-concave schedule for kappa={kappa}, K={K}, dim={dim}, D={D}, "
+            f"w_min={w_min}, target_accuracy={eps}: {e}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -96,9 +96,13 @@ class BaseFunction:
     @staticmethod
     def isotropic_gaussian(sigma: float) -> "BaseFunction":
         sigma = float(sigma)
-        if not 0 < sigma < math.inf:
-            raise ValueError("isotropic-gaussian base needs a finite sigma > 0")
-        k = 1.0 / sigma**2
+        try:
+            k = 1.0 / sigma**2
+        except (OverflowError, ZeroDivisionError):  # sigma^2 overflows or underflows to 0
+            k = math.nan
+        if not (0 < sigma < math.inf and 0 < k < math.inf):
+            raise ValueError("isotropic-gaussian base needs a finite sigma > 0 whose precision "
+                             f"1/sigma^2 is finite and > 0; got sigma={sigma}")
         return BaseFunction(precision=k, kappa=k, K=k)
 
     @staticmethod

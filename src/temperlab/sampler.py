@@ -422,7 +422,11 @@ def estimate_partition_ratio(
     return math.exp(_logsumexp(log_terms) - math.log(X.shape[0]))
 
 
-def _samples_per_stage(params: RunParams, num_levels: int, confidence: float) -> int:
+# run_main's default failure probability for the kept-run count of a stage.
+CONFIDENCE = 0.05
+
+
+def _samples_per_stage(params: RunParams, num_levels: int, confidence: float = CONFIDENCE) -> int:
     """Accepted runs run_main keeps at each stage before the last:
     ceil(c_samples L^2 log(1/confidence)), at least one."""
     return max(
@@ -458,7 +462,7 @@ def run_main(
     ladder: TemperatureLadder,
     params: RunParams,
     rng: RngStream,
-    confidence: float = 0.05,
+    confidence: float = CONFIDENCE,
     num_final_samples: int = 1,
 ) -> MainResult:
     """Staged driver: estimate partition ratios level by level, then sample.

@@ -141,8 +141,7 @@ class TestConfigValidation:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         err = capsys.readouterr().err
-        for key in ("schedule.c_step", "schedule.c_time", "overrides.step_size",
-                    "overrides.total_time"):
+        for key in ("overrides.step_size", "overrides.total_time"):
             assert key in err
 
     @pytest.mark.parametrize("mode", ["sample", "baseline-compare"])
@@ -158,8 +157,7 @@ class TestConfigValidation:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         err = capsys.readouterr().err
-        for key in ("schedule.c_samples", "overrides.step_size",
-                    "schedule.c_time or overrides.total_time"):
+        for key in ("schedule.c_samples", "overrides.step_size", "overrides.total_time"):
             assert key in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
@@ -206,17 +204,14 @@ class TestConfigValidation:
         [
             ("overrides", "step_size", math.nan),
             ("overrides", "swap_rate", math.nan),
-            (None, "target_accuracy", math.nan),
-            ("schedule", "c_time", math.inf),
+            ("schedule", "c_samples", math.nan),
+            ("overrides", "total_time", math.inf),
         ],
-        ids=["step_size-NaN", "swap_rate-NaN", "target_accuracy-NaN", "c_time-Infinity"],
+        ids=["step_size-NaN", "swap_rate-NaN", "c_samples-NaN", "total_time-Infinity"],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, block, key, value):
         doc = sample_config()
-        if block is None:
-            doc[key] = value
-        else:
-            doc[block] = {**doc.get(block, {}), key: value}
+        doc[block] = {**doc[block], key: value}
         cfg = write_config(tmp_path, doc)  # json.dumps writes NaN and Infinity
         code = main(["--config", cfg, "--mode", "sample", "--out", str(tmp_path / "o")])
         assert code == 2
@@ -233,11 +228,10 @@ class TestConfigValidation:
             ({"fixture": {**TINY_MIXTURE, "weights": [1.0], "centers": [[1e300]]}}, "schedule"),
             ({"fixture": {**TINY_MIXTURE, "base": {"kind": "isotropic-gaussian", "sigma": 1e300}}},
              "fixture"),
-            ({"schedule": {"c_samples": 0.05, "wmin_exponent": 2000}}, "schedule"),
-            ({"schedule": {"c_samples": 0.05, "c_beta1": 1e-320}}, "schedule"),
+            # w_min^4 underflows to 0 in the chain time
+            ({"fixture": {**TINY_MIXTURE, "weights": [1e-90, 1.0]}}, "w_min"),
         ],
-        ids=["weights-sum", "center-1e400", "center-1e300", "sigma-1e300", "wmin_exponent-2000",
-             "c_beta1-1e-320"],
+        ids=["weights-sum", "center-1e400", "center-1e300", "sigma-1e300", "weights-1e-90"],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, capsys, change, named):
         path = tmp_path / "config.json"
@@ -246,6 +240,46 @@ class TestConfigValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("schedule", "c_beta1", 1.0),
+            ("schedule", "c_rate", 1.0),
+            ("schedule", "c_time", 10.0),
+            ("schedule", "c_step", 0.1),
+            ("schedule", "wmin_exponent", 4.0),
+            (None, "target_accuracy", 0.1),
+            ("overrides", "init_std", 1.0),
+            ("sample", "confidence", 0.05),
+            ("verify", "tolerance_rel", 1e-5),
+        ],
+        ids=["c_beta1", "c_rate", "c_time", "c_step", "wmin_exponent", "target_accuracy",
+             "init_std", "confidence", "tolerance_rel"],
+    )
+    def test_removed_setting_exits_2_and_names_it(self, tmp_path, capsys, block, key, value):
+        # each value is the one the code uses, so only the key itself is refused
+        mode = "verify-divergences" if block == "verify" else "sample"
+        doc = sample_config() if mode == "sample" else {"version": 1, "seed": 1}
+        if block is None:
+            doc[key] = value
+        else:
+            doc[block] = {**doc.get(block, {}), key: value}
+        cfg = write_config(tmp_path, doc)
+        code = main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode", ["sample", "verify-decomposition", "verify-divergences"])
+    def test_seed_flag_is_validated_by_the_schema(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, sample_config())
+        code = main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: seed: ")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize(

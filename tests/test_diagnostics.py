@@ -265,20 +265,6 @@ class TestIntegratedAutocorr:
         with pytest.raises(ValueError, match="at least 4"):
             integrated_autocorr(np.array([1.0, 2.0, 3.0]))
 
-    def test_max_lag_truncates(self):
-        phi = 0.95
-        rng = np.random.default_rng(33)
-        n = 20_000
-        eps = rng.standard_normal(n)
-        x = np.empty(n)
-        x[0] = eps[0]
-        for i in range(1, n):
-            x[i] = phi * x[i - 1] + eps[i]
-        est = integrated_autocorr(x, max_lag=5)
-        assert est.lag <= 5
-        full = integrated_autocorr(x)
-        assert est.tau_int <= full.tau_int
-
     def test_alternating_series_truncates_at_lag_zero(self):
         x = np.tile([1.0, -1.0], 500)
         est = integrated_autocorr(x)

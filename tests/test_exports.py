@@ -3,12 +3,16 @@ package imports nothing beyond the standard library, numpy and jsonschema."""
 
 import ast
 import importlib
+import json
 import sys
+from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import temperlab
+from temperlab.ladder import RunParams, ScheduleConstants
 
 MODULES = ("cli", "decomposition", "diagnostics", "divergences", "fixtures", "ladder",
            "oracles", "sampler")
@@ -48,3 +52,10 @@ def test_runtime_imports_are_stdlib_numpy_or_jsonschema():
                 found.add(node.module.split(".")[0])
     assert "numpy" in found
     assert sorted(found - allowed) == []
+
+
+def test_config_schedule_and_overrides_are_library_fields():
+    schema = json.loads(resources.files("temperlab.data").joinpath("config.schema.json").read_text())
+    props = schema["properties"]
+    assert {f.name for f in fields(ScheduleConstants)} == set(props["schedule"]["properties"])
+    assert set(props["overrides"]["properties"]) <= {f.name for f in fields(RunParams)}

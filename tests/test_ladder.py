@@ -28,7 +28,6 @@ def test_gaussian_schedule_frozen_shape():
     assert ladder.betas[1] / ladder.betas[0] == pytest.approx(expected_ratio, rel=1e-14)
     assert params.swap_rate == pytest.approx(1.0 / 100.0)
     assert params.init_std == pytest.approx(1.0 / math.sqrt(ladder.betas[0]))
-    assert params.eta_active in ("diffusion", "spread", "drift")
 
 
 def test_schedule_is_deterministic():
@@ -79,11 +78,10 @@ def test_gaussian_requires_spread_at_least_sigma():
 
 
 def test_step_size_three_way_minimum():
-    c = ScheduleConstants()
-    ladder, params = build_ladder_gaussian(**GAUSS_ARGS, constants=c)
+    ladder, params = build_ladder_gaussian(**GAUSS_ARGS)
     d, D, sigma, eps = 2, 10.0, 1.0, 0.1
     T = params.total_time
-    base = c.c_step * (sigma**3 * eps / D**2)
+    base = 0.1 * (sigma**3 * eps / D**2)
     terms = {
         "diffusion": sigma**4 / ((D / sigma + math.sqrt(d)) * T),
         "spread": 1.0 / math.sqrt(D),
@@ -91,7 +89,6 @@ def test_step_size_three_way_minimum():
     }
     expect = base * min(terms.values())
     assert params.step_size == pytest.approx(expect, rel=1e-12)
-    assert params.eta_active == min(terms, key=terms.get)
 
 
 class TestLogconcaveSchedule:
@@ -202,10 +199,10 @@ class TestRunParamsValidation:
 
 
 def test_schedule_constants_validated():
-    with pytest.raises(ValueError):
-        ScheduleConstants(c_time=0.0)
-    with pytest.raises(ValueError):
-        ScheduleConstants(wmin_exponent=-1)
+    with pytest.raises(ValueError, match="c_samples"):
+        ScheduleConstants(c_samples=0.0)
+    with pytest.raises(ValueError, match="c_samples"):
+        ScheduleConstants(c_samples=math.nan)
 
 
 LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accuracy=0.1)
@@ -224,8 +221,6 @@ LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accurac
          "init_std"),
         (lambda: replace(build_ladder_gaussian(**GAUSS_ARGS)[1], total_time=math.inf),
          "total_time"),
-        (lambda: ScheduleConstants(c_time=math.nan), "c_time"),
-        (lambda: ScheduleConstants(wmin_exponent=math.nan), "wmin_exponent"),
         (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "D": math.nan}), "D must"),
         (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "sigma": math.nan}), "sigma"),
         (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "D": math.nan}), "D must"),
@@ -234,10 +229,24 @@ LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accurac
         (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "D": math.inf}), "D must"),
         (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "kappa": math.inf}), "kappa="),
         (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "K": math.inf}), "K="),
+        # w_min^4 underflows to 0
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "w_min": 1e-90}), "w_min=1e-90"),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "w_min": 1e-90}), "w_min=1e-90"),
+        # D^2 overflows
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "D": 1e155}), r"D=1e\+155"),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "D": 1e155}), r"D=1e\+155"),
+        # sigma^4 overflows
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "sigma": 1e100, "D": 1e100}),
+         r"sigma=1e\+100"),
+        # the ladder ratio 1 + kappa / (K d cond) rounds to 1
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "kappa": 1e-300}),
+         "kappa=1e-300"),
     ],
-    ids=["ladder-beta", "step_size", "swap_rate", "init_std", "inf-total_time", "c_time",
-         "wmin_exponent", "gaussian-D", "gaussian-sigma", "logconcave-D", "inf-gaussian-D",
-         "inf-gaussian-sigma", "inf-logconcave-D", "inf-kappa", "inf-K"],
+    ids=["ladder-beta", "step_size", "swap_rate", "init_std", "inf-total_time", "gaussian-D",
+         "gaussian-sigma", "logconcave-D", "inf-gaussian-D", "inf-gaussian-sigma",
+         "inf-logconcave-D", "inf-kappa", "inf-K", "tiny-gaussian-w_min",
+         "tiny-logconcave-w_min", "huge-gaussian-D", "huge-logconcave-D",
+         "huge-gaussian-sigma", "tiny-kappa"],
 )
 def test_non_finite_input_is_refused_by_name(build, message):
     with pytest.raises(ValueError, match=message):

@@ -279,9 +279,13 @@ class TestMixtureTargetValidation:
             (lambda: BaseFunction.isotropic_gaussian(np.inf), "sigma"),
             (lambda: BaseFunction.quadratic_form(np.eye(2), kappa=np.inf), "kappa=inf"),
             (lambda: BaseFunction.quadratic_form(np.eye(2), K=np.inf), "finite K"),
+            # 1/sigma^2: sigma^2 overflows, underflows to 0, or is subnormal
+            (lambda: BaseFunction.isotropic_gaussian(1e300), "sigma"),
+            (lambda: BaseFunction.isotropic_gaussian(1e-200), "sigma"),
+            (lambda: BaseFunction.isotropic_gaussian(1e-160), "sigma"),
         ],
         ids=["nan-weight", "nan-center", "nan-sigma", "nan-kappa", "inf-sigma", "inf-kappa",
-             "inf-K"],
+             "inf-K", "huge-sigma", "tiny-sigma", "subnormal-precision-sigma"],
     )
     def test_nan_input_is_refused_by_name(self, build, message):
         with pytest.raises(ValueError, match=message):
