@@ -85,18 +85,17 @@ def _load_config(path: str, seed: int | None) -> dict:
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _write_samples_csv(path: Path, X: np.ndarray) -> None:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    d = X.shape[1] if X.size else 1
+def _write_csv(path: Path, header, rows) -> None:
+    """One line per row: floats with %.17g, which reads back exactly, the rest with str()."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(f"x{i}" for i in range(d)) + "\n")
-        for row in X:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _write_manifest(out_dir: Path, mode: str, config: dict, files: list) -> Path:
@@ -234,7 +233,7 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
     ladder, long_params, staged, rec, _ = _staged_long_run(fixture, config, "sample", thin)
     samples = rec.positions_at_level(ladder.num_levels)
 
-    _write_samples_csv(out_dir / "samples.csv", samples)
+    _write_csv(out_dir / "samples.csv", [f"x{i}" for i in range(samples.shape[1])], samples)
     run_doc = {
         "mode": "sample",
         "seed": config["seed"],
@@ -299,16 +298,12 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
 # verify-decomposition
 
 
-def _simple_worker(args):
-    seed_seq, tol = args
+def _verify_worker(args):
+    kind, seed_seq, tol = args
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    inst = random_simple_instance(rng)
-    return [r.to_dict() for r in verify_simple_decomposition(inst, tol=tol)]
-
-
-def _tempering_worker(args):
-    seed_seq, tol = args
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    if kind == "simple":
+        inst = random_simple_instance(rng)
+        return [r.to_dict() for r in verify_simple_decomposition(inst, tol=tol)]
     inst = random_tempering_instance(rng)
     return [verify_tempering_decomposition(inst, tol=tol).to_dict()]
 
@@ -318,46 +313,22 @@ def _mode_verify_decomposition(config: dict, out_dir: Path, jobs: int) -> bool:
     ns = v.get("num_simple", 20)
     nt = v.get("num_tempering", 10)
     tol = v.get("bound_tolerance", 1e-6)
-    root = np.random.SeedSequence(config["seed"])
-    children = root.spawn(ns + nt)
-    simple_args = [(s, tol) for s in children[:ns]]
-    temper_args = [(s, tol) for s in children[ns:]]
+    children = np.random.SeedSequence(config["seed"]).spawn(ns + nt)
+    args = [("simple" if i < ns else "tempering", s, tol) for i, s in enumerate(children)]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            simple_out = list(pool.map(_simple_worker, simple_args))
-            temper_out = list(pool.map(_tempering_worker, temper_args))
+            out = list(pool.map(_verify_worker, args))
     else:
-        simple_out = [_simple_worker(a) for a in simple_args]
-        temper_out = [_tempering_worker(a) for a in temper_args]
+        out = [_verify_worker(a) for a in args]
+    rows = [r for reports in out for r in reports]
 
-    files = []
-    rows = []
-    for i, reports in enumerate(simple_out + temper_out):
-        kind = "simple" if i < ns else "tempering"
-        j = i if i < ns else i - ns
-        name = f"{kind}_{j:03d}.json"
-        _write_json(out_dir / name, reports)
-        files.append(name)
-        rows.extend(reports)
-
+    _write_json(out_dir / "decomposition_report.json", rows)
     csv_path = out_dir / "decomposition_summary.csv"
     cols = ["theorem", "instance_hash", "C", "C_bar", "C_star", "bound", "slack", "passed"]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            cells = []
-            for c in cols:
-                val = r[c]
-                cells.append("%.17g" % val if isinstance(val, float) else str(val))
-            fh.write(",".join(cells) + "\n")
-    files.append("decomposition_summary.csv")
-    # an earlier run into this directory may have written more instances
-    for pattern in ("simple_*.json", "tempering_*.json"):
-        for stale in out_dir.glob(pattern):
-            if stale.name not in files:
-                stale.unlink()
-    _write_manifest(out_dir, "verify-decomposition", config, files)
+    _write_csv(csv_path, cols, ([r[c] for c in cols] for r in rows))
+    _write_manifest(out_dir, "verify-decomposition", config,
+                    ["decomposition_report.json", "decomposition_summary.csv"])
 
     failed = [r for r in rows if not r["passed"]]
     print(
@@ -608,7 +579,6 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(args.out or "artifacts")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         if args.mode == "sample":

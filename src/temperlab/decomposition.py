@@ -225,16 +225,17 @@ def poincare_constant(proc: FiniteMarkovProcess) -> float:
     """Smallest C with Var(g) <= C E(g, g): one over the spectral gap.
 
     The spectrum is that of -Q symmetrized by pi: off the diagonal
-    -F(x, y) / sqrt(pi(x) pi(y)), on it the row sums of F over pi.  A single
-    state has no variance to bound, so its constant is 0.  A chain that fails
-    to connect has the eigenvalue 0 more than once, so its gap is numerically
-    zero and it raises ReducibleChainError; callers that want a vacuous bound
-    should catch it and use inf.
+    -F(x, y) / sqrt(pi(x)) / sqrt(pi(y)), on it the row sums of F over pi.
+    A single state has no variance to bound, so its constant is 0.  A chain
+    that fails to connect has the eigenvalue 0 more than once, so its gap is
+    numerically zero and it raises ReducibleChainError; callers that want a
+    vacuous bound should catch it and use inf.
     """
     if proc.num_states == 1:
         return 0.0
     pi, F = proc.stationary, proc.flows
-    M = -F / np.sqrt(np.outer(pi, pi))
+    sq = np.sqrt(pi)  # one root at a time: pi(x) pi(y) can underflow to 0
+    M = -F / sq[:, None] / sq[None, :]
     np.fill_diagonal(M, F.sum(axis=1) / pi)
     evals = np.linalg.eigvalsh(M)
     scale = max(float(evals[-1]), 1.0)

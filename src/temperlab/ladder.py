@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+MAX_LEVELS = 10**6  # most levels a ladder may have, far above any affordable schedule
+
 __all__ = [
     "ScheduleConstants",
     "TemperatureLadder",
@@ -121,6 +123,8 @@ def _geometric_ladder(beta1: float, ratio: float) -> np.ndarray:
     if not beta1 >= np.finfo(float).tiny:  # else ratio^k overflows
         raise OverflowError(f"beta1 = {beta1:.3g} is below the normal float range")
     k = math.ceil(-math.log(beta1) / math.log(ratio))
+    if k + 1 > MAX_LEVELS:
+        raise OverflowError(f"the ladder would have {k + 1} levels, more than {MAX_LEVELS}")
     betas = beta1 * ratio ** np.arange(k + 1)
     betas[-1] = 1.0
     # capping can collide the last two rungs; drop the duplicate

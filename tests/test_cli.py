@@ -242,6 +242,14 @@ class TestConfigValidation:
         assert err.startswith("config error:") and err.count("\n") == 1 and named in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    def test_refused_run_leaves_no_out_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**sample_config(),
+                                      "fixture": {**TINY_MIXTURE, "weights": [1e-90, 1.0]}})
+        code = main(["--config", cfg, "--mode", "sample", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "block, key, value",
         [
@@ -323,6 +331,21 @@ def test_quadratic_form_fixture_gets_the_logconcave_schedule():
     )
     np.testing.assert_array_equal(ladder.betas, expected.betas)
 
+
+@pytest.mark.parametrize(
+    "mode", ["sample", "verify-decomposition", "verify-divergences", "baseline-compare"])
+def test_manifest_lists_every_file_the_mode_writes(tmp_path, mode):
+    doc = {**sample_config(seed=4), "baseline": {"main_time": 50.0},
+           "verify": {"num_simple": 2, "num_tempering": 1, "num_gaussian_pairs": 2,
+                      "num_probes": 100}}
+    out = tmp_path / "out"
+    # the tiny fixture may honestly fail the baseline margin; the files are written either way
+    assert main(["--config", write_config(tmp_path, doc), "--mode", mode,
+                 "--out", str(out)]) in (0, 1)
+    listed = {e["path"] for e in read_manifest(out)["files"]}
+    assert {p.name for p in out.iterdir()} - {"manifest.json"} == listed
+
+
 class TestVerifyDecompositionMode:
     def config(self, seed=5):
         return {
@@ -336,14 +359,15 @@ class TestVerifyDecompositionMode:
         out = tmp_path / "dec"
         assert main(["--config", cfg, "--mode", "verify-decomposition",
                      "--out", str(out)]) == 0
-        for name in ("simple_000.json", "simple_002.json", "tempering_000.json",
-                     "tempering_001.json", "decomposition_summary.csv",
-                     "manifest.json"):
-            assert (out / name).exists()
+        assert {p.name for p in out.iterdir()} == {
+            "decomposition_report.json", "decomposition_summary.csv", "manifest.json"}
+        report = json.loads((out / "decomposition_report.json").read_text())
         with open(out / "decomposition_summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         # each simple instance yields two bound reports, each tempering one
-        assert len(rows) == 3 * 2 + 2
+        assert len(report) == len(rows) == 3 * 2 + 2
+        assert ([(r["theorem"], r["instance_hash"]) for r in report]
+                == [(r["theorem"], r["instance_hash"]) for r in rows])
         assert all(r["passed"] == "True" for r in rows)
         assert "8/8 bounds hold" in capsys.readouterr().out
 
@@ -368,7 +392,7 @@ class TestVerifyDecompositionMode:
             digests.append(read_manifest(out)["digest"])
         assert digests[0] == digests[1]
 
-    def test_rerun_with_fewer_instances_drops_stale_files(self, tmp_path):
+    def test_rerun_with_fewer_instances_replaces_the_report(self, tmp_path):
         out = tmp_path / "dec"
         cfg = write_config(tmp_path, self.config(), "big.json")
         assert main(["--config", cfg, "--mode", "verify-decomposition", "--out", str(out)]) == 0
@@ -376,9 +400,11 @@ class TestVerifyDecompositionMode:
         small = {**self.config(), "verify": {"num_simple": 1, "num_tempering": 1}}
         cfg = write_config(tmp_path, small, "small.json")
         assert main(["--config", cfg, "--mode", "verify-decomposition", "--out", str(out)]) == 0
+        assert len(json.loads((out / "decomposition_report.json").read_text())) == 2 * 1 + 1
         listed = {e["path"] for e in read_manifest(out)["files"]}
-        assert listed == {"simple_000.json", "tempering_000.json", "decomposition_summary.csv"}
+        assert listed == {"decomposition_report.json", "decomposition_summary.csv"}
         assert {p.name for p in out.iterdir()} == listed | {"manifest.json", "notes.txt"}
+        assert (out / "notes.txt").read_text() == "not written by the CLI\n"
 
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, self.config(seed=8))

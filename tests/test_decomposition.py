@@ -293,6 +293,17 @@ class TestSpectralBasics:
             const * dirichlet_form(proc, g), rel=1e-6
         )
 
+    def test_constant_where_mass_products_underflow(self):
+        # the smallest mass is 1.6e-178, so pi(x) pi(y) is below the float range
+        grid = np.linspace(-6, 6, 48)
+        proc = discretize_density(grid, gauss_masses(grid, 4.0, 0.35))
+        assert proc.stationary.min() ** 2 == 0.0
+        # oracle: the spectrum of the rate matrix -Q itself, never symmetrized
+        rates = proc.flows / proc.stationary[:, None]
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        gap = np.sort(np.linalg.eigvals(-rates).real)[1]
+        assert poincare_constant(proc) == pytest.approx(1.0 / gap, rel=1e-9)
+
     def test_single_state_constant_is_zero(self):
         proc = FiniteMarkovProcess(flows=np.zeros((1, 1)),
                                    stationary=np.array([1.0]))

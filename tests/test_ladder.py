@@ -1,6 +1,7 @@
 """Temperature schedule construction and partition-estimate envelopes."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,19 @@ LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accurac
 def test_non_finite_input_is_refused_by_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_overlong_ladder_is_refused_before_it_is_built():
+    # uncapped, this schedule asks for 14,089,468 levels (about 113 MB of betas)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="14089468 levels, more than 1000000"):
+            build_ladder_logconcave(dim=40, D=3e4, kappa=0.02, K=25.0, w_min=1.0,
+                                    target_accuracy=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 class TestPartitionEnvelope:
