@@ -50,8 +50,8 @@ from .fixtures import (
     target_from_dict,
 )
 from .ladder import RunParams, ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
-from .sampler import (EstimationFailure, NonFiniteGradient, RngStream, _samples_per_stage,
-                      run_main, run_plain_langevin, run_stlmc)
+from .sampler import (EstimationFailure, NonFiniteGradient, RngStream, _run_steps_bound,
+                      _samples_per_stage, run_main, run_plain_langevin, run_stlmc)
 
 __all__ = ["main"]
 
@@ -153,9 +153,10 @@ MAX_RUN_STEPS = 1e9
 
 
 def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunParams:
-    """params with `changes`, refused before sampling unless the run takes
-    between one and MAX_RUN_STEPS Langevin steps.  time_key names the
-    config setting that sets the run's total time."""
+    """params with `changes`, refused before sampling unless the run takes at
+    least one Langevin step and, by the sampler's bound, at most MAX_RUN_STEPS
+    expected steps.  time_key names the config setting that sets the run's
+    total time."""
     step_size = changes.get("step_size", params.step_size)
     total_time = changes.get("total_time", params.total_time)
     if step_size > total_time:
@@ -163,14 +164,16 @@ def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunPar
             f"{run} is shorter than one Langevin step (total time {total_time:.6g} < "
             f"step size {step_size:.6g}); lower overrides.step_size or raise {time_key}"
         )
-    steps = total_time / step_size
+    params = replace(params, **changes)
+    steps = _run_steps_bound(params)
     if steps > MAX_RUN_STEPS:
         raise ConfigError(
-            f"{run} would take {steps:.3g} Langevin steps (total time {total_time:.6g} / "
-            f"step size {step_size:.6g}), more than {MAX_RUN_STEPS:.0e}; raise "
-            f"overrides.step_size, or lower {time_key}"
+            f"{run} may take {steps:.3g} Langevin steps (total time {total_time:.6g} x "
+            f"(1 / step size {step_size:.6g} + swap rate {params.swap_rate:.6g}) + 1), more "
+            f"than {MAX_RUN_STEPS:.0e}; raise overrides.step_size, or lower "
+            f"overrides.swap_rate or {time_key}"
         )
-    return replace(params, **changes)
+    return params
 
 
 def _ladder_for(fixture: Fixture, config: dict):
@@ -183,10 +186,10 @@ def _ladder_for(fixture: Fixture, config: dict):
                 fixture.dim, D=fixture.D, kappa=base.kappa, K=base.K, **common
             )
         else:
-            # builtins without a mixture target (adversarial) fall back to sigma = 1
+            # builtins without a mixture target (adversarial, perturbed) fall back to sigma = 1
             sigma = base.sigma if base is not None else 1.0
             ladder, params = build_ladder_gaussian(
-                fixture.dim, D=max(fixture.D, sigma), sigma=sigma, **common
+                fixture.dim, D=fixture.D, sigma=sigma, **common
             )
     except ValueError as e:
         raise ConfigError(
@@ -208,13 +211,13 @@ def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
                               total_time=main_time)
     L = ladder.num_levels
     need = _samples_per_stage(params, L)
-    steps = params.total_time / params.step_size
+    steps = _run_steps_bound(params)
     if steps * ((L - 1) * need + 1) > MAX_RUN_STEPS:
         raise ConfigError(
-            f"staging would take at least {steps * ((L - 1) * need + 1):.3g} Langevin steps "
-            f"({L - 1} stages of {need} kept runs of {steps:.3g} steps, plus the final run), "
-            f"more than {MAX_RUN_STEPS:.0e}; lower schedule.c_samples, raise "
-            f"overrides.step_size, or lower overrides.total_time"
+            f"staging may take {steps * ((L - 1) * need + 1):.3g} Langevin steps "
+            f"({L - 1} stages of at least {need} kept runs of up to {steps:.3g} steps, plus the "
+            f"final run), more than {MAX_RUN_STEPS:.0e}; lower schedule.c_samples, raise "
+            f"overrides.step_size, or lower overrides.swap_rate or overrides.total_time"
         )
     rng = RngStream(config["seed"])
     staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)

@@ -521,16 +521,17 @@ def congestion_bound(
 
 @dataclass(frozen=True)
 class SimpleInstance:
-    """Mixture of discretized 1-d densities sharing a uniform grid."""
+    """Mixture of discretized 1-d densities sharing a uniform grid; each
+    component chain has discretize_density's default base rate 1/h^2."""
 
     grid: np.ndarray
     weights: np.ndarray
     densities: np.ndarray  # (m, n) rows sum to 1
-    base_rate: float
 
     def hash(self) -> str:
-        return instance_hash(self.grid, self.weights, self.densities,
-                             np.array([self.base_rate]))
+        # the base rate 1/h^2 is part of the instance's identity
+        h = float(self.grid[1] - self.grid[0])
+        return instance_hash(self.grid, self.weights, self.densities, np.array([1.0 / h**2]))
 
 
 @dataclass(frozen=True)
@@ -630,10 +631,7 @@ def verify_simple_decomposition(
     An unreachable projected chain gives C_bar = inf and a vacuous pass.
     """
     w = instance.weights
-    comps = [
-        discretize_density(instance.grid, d, base_rate=instance.base_rate)
-        for d in instance.densities
-    ]
+    comps = [discretize_density(instance.grid, d) for d in instance.densities]
     mix = mixture_chain(comps, w)
     rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
     n = mix.num_states
@@ -727,13 +725,12 @@ def random_simple_instance(rng: np.random.Generator) -> SimpleInstance:
     n = int(rng.integers(24, 65))
     m = int(rng.integers(1, 4))
     grid = np.linspace(-6.0, 6.0, n)
-    h = float(grid[1] - grid[0])
     centers = rng.uniform(-2.0, 2.0, m)
     sigmas = rng.uniform(0.6, 1.5, m)
     w = rng.uniform(0.1, 1.0, m)
     w = w / w.sum()
     logmass = -0.5 * ((grid[None, :] - centers[:, None]) / sigmas[:, None]) ** 2
-    return SimpleInstance(grid=grid, weights=w, densities=_softmax(logmass), base_rate=1.0 / h**2)
+    return SimpleInstance(grid=grid, weights=w, densities=_softmax(logmass))
 
 
 def random_tempering_instance(

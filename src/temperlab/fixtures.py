@@ -48,7 +48,7 @@ class Fixture:
     kind: str  # "mixture", "adversarial", or "perturbed"
     dim: int
     oracle: DensityOracle
-    target: MixtureTarget | None
+    target: MixtureTarget | None  # the oracle's exact density, or None when it has none
     D: float
     w_min: float
 
@@ -146,7 +146,7 @@ def _perturbed_mixture() -> Fixture:
         kind="perturbed",
         dim=1,
         oracle=PerturbedOracle(base.oracle, pert),
-        target=base.target,
+        target=None,  # the oracle samples base.target times exp(-0.1 sin x), not base.target
         D=base.D,
         w_min=base.w_min,
     )

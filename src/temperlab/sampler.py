@@ -95,43 +95,6 @@ class SwapStats:
         return self.accepts_up + self.accepts_down
 
 
-class _RecordBuilder:
-    """Growable column store for a trajectory; amortized append."""
-
-    def __init__(self, dim: int, capacity: int = 1024):
-        self._n = 0
-        self._steps = np.empty(capacity, dtype=np.int64)
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._levels = np.empty(capacity, dtype=np.int32)
-        self._positions = np.empty((capacity, dim), dtype=np.float64)
-
-    def append(self, step: int, time: float, level: int, position: np.ndarray):
-        if self._n == self._steps.size:
-            cap = self._steps.size * 2
-            self._steps = np.resize(self._steps, cap)
-            self._times = np.resize(self._times, cap)
-            self._levels = np.resize(self._levels, cap)
-            pos = np.empty((cap, self._positions.shape[1]))
-            pos[: self._n] = self._positions[: self._n]
-            self._positions = pos
-        i = self._n
-        self._steps[i] = step
-        self._times[i] = time
-        self._levels[i] = level
-        self._positions[i] = position
-        self._n += 1
-
-    def finish(self, **kw) -> "RunRecord":
-        n = self._n
-        return RunRecord(
-            steps=self._steps[:n].copy(),
-            times=self._times[:n].copy(),
-            levels=self._levels[:n].copy(),
-            positions=self._positions[:n].copy(),
-            **kw,
-        )
-
-
 @dataclass
 class RunRecord:
     """Thinned trajectory of one tempering run plus bookkeeping.  The last
@@ -192,11 +155,11 @@ def langevin_step(
 _NOISE_BLOCK = 4096  # most noise rows per rng call; bounds memory on long segments
 
 
-def _langevin_steps(grad, beta, x, m, h, rng, rec, step0, t0, level, thin) -> np.ndarray:
+def _langevin_steps(grad, beta, x, m, h, rng, out, step0, thin) -> np.ndarray:
     """Advance x by m Euler steps of size h at inverse temperature beta.
 
-    Step j (1-based) lands at time t0 + j*h and is recorded when the global
-    step index step0 + j is a multiple of thin.  Noise rows come in blocks;
+    The position after global step s = step0 + j (j = 1..m) is written to
+    out[s // thin] when s is a multiple of thin.  Noise rows come in blocks;
     bitwise the same stream as one draw per step, so a langevin_step replay
     reproduces the trajectory exactly.  A step that lands on a non-finite
     position (a non-finite gradient, or an overflow) or meets an invalid
@@ -214,9 +177,9 @@ def _langevin_steps(grad, beta, x, m, h, rng, rec, step0, t0, level, thin) -> np
                     if not np.all(np.isfinite(x_new)):
                         raise NonFiniteGradient(x)
                     x = x_new
-                    j = b + i + 1
-                    if (step0 + j) % thin == 0:
-                        rec.append(step0 + j, t0 + j * h, level, x)
+                    s = step0 + b + i + 1
+                    if s % thin == 0:
+                        out[s // thin] = x
     except FloatingPointError:
         raise NonFiniteGradient(x) from None
     return x
@@ -247,12 +210,17 @@ def run_plain_langevin(
     x = np.array(x0, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1)
-    rec = _RecordBuilder(x.size)
-    rec.append(0, 0.0, 1, x)
-    x = _langevin_steps(oracle.grad, beta, x, num_steps, eta, rng, rec, 0, 0.0, 1, thin)
+    steps = np.arange(0, num_steps + 1, thin, dtype=np.int64)
     if num_steps % thin:
-        rec.append(num_steps, num_steps * eta, 1, x)
-    return rec.finish(
+        steps = np.append(steps, num_steps)
+    positions = np.empty((steps.size, x.size))
+    positions[0] = x
+    positions[-1] = _langevin_steps(oracle.grad, beta, x, num_steps, eta, rng, positions, 0, thin)
+    return RunRecord(
+        steps=steps,
+        times=steps * eta,
+        levels=np.ones(steps.size, dtype=np.int32),
+        positions=positions,
         num_levels=1,
         target_level=1,
         accepted=True,
@@ -338,6 +306,13 @@ def substep_schedule(segment: float, eta: float) -> tuple[int, float]:
     return m, segment / m
 
 
+def _run_steps_bound(params: RunParams) -> float:
+    """Upper bound on the expected Langevin steps of one run_stlmc run: its
+    swap_rate * total_time + 1 segments (on average) each take at most one
+    step beyond their length over step_size."""
+    return params.total_time * (1.0 / params.step_size + params.swap_rate) + 1.0
+
+
 def run_stlmc(
     oracle: DensityOracle,
     ladder: TemperatureLadder,
@@ -362,32 +337,50 @@ def run_stlmc(
     if not 1 <= target <= L:
         raise ValueError("target_level out of range")
 
-    dim = oracle.dim
-    x = params.init_std * rng.normal(dim)
+    x = params.init_std * rng.normal(oracle.dim)
     level = 1
     stats = SwapStats()
-    rec = _RecordBuilder(dim)
-    rec.append(0, 0.0, level, x)
-
     events = draw_swap_times(rng, params.swap_rate, params.total_time)
-    eta = params.step_size
+    bounds = np.concatenate([[0.0], events, [params.total_time]])
+    plan = [substep_schedule(seg, params.step_size) if seg > 0 else (0, 0.0)
+            for seg in np.diff(bounds)]
+    ms, hs = (np.array(col) for col in zip(*plan))
+    ends = np.cumsum(ms)  # the global step index at the end of each segment
+    # rows: the start, every thin-th step, the state after each level move, the
+    # end; after k level moves the state at global step s is row k + s // thin
+    rows = 2 + events.size + int(ends[-1]) // thin
+    positions = np.empty((rows, oracle.dim), dtype=np.float64)
+    positions[0] = x
+    seg_levels = np.empty(events.size + 2, dtype=np.int32)  # each segment's, then the last
+
     step = 0
-    seg_start = 0.0
-    boundaries = np.concatenate([events, [params.total_time]])
-    for k, seg_end in enumerate(boundaries):
-        seg = seg_end - seg_start
-        if seg > 0:
-            m, h = substep_schedule(seg, eta)
+    for k, (m, h) in enumerate(plan):
+        seg_levels[k] = level
+        if m:
             beta = float(ladder.betas[level - 1])
-            x = _langevin_steps(oracle.grad, beta, x, m, h, rng, rec, step, seg_start, level, thin)
+            x = _langevin_steps(oracle.grad, beta, x, m, h, rng, positions[k:], step, thin)
             step += m
-        seg_start = seg_end
         if k < events.size:
             level = swap_attempt(level, x, ladder, oracle, rng, stats)
-            rec.append(step, seg_end, level, x)
+        positions[k + 1 + step // thin] = x  # after level move k + 1, or the end
+    seg_levels[-1] = level
 
-    rec.append(step, params.total_time, level, x)
-    return rec.finish(
+    # row 0 is the start: step 0, time 0, level 1
+    steps = np.zeros(rows, dtype=np.int64)
+    times = np.zeros(rows, dtype=np.float64)
+    levels = np.ones(rows, dtype=np.int32)
+    s = np.arange(thin, step + 1, thin)
+    k = np.searchsorted(ends, s)  # the segment of each thinned step
+    r = k + s // thin
+    steps[r], times[r], levels[r] = s, bounds[k] + (s - (ends - ms)[k]) * hs[k], seg_levels[k]
+    r = np.arange(ends.size) + 1 + ends // thin
+    steps[r], times[r], levels[r] = ends, bounds[1:], seg_levels[1:]
+
+    return RunRecord(
+        steps=steps,
+        times=times,
+        levels=levels,
+        positions=positions,
         num_levels=L,
         target_level=target,
         accepted=level == target,

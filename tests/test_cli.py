@@ -172,6 +172,22 @@ class TestConfigValidation:
         assert f"{block}.main_time" in err and "overrides.step_size" in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("mode", ["sample", "baseline-compare"])
+    def test_overlong_swap_segments_are_refused_before_sampling(self, tmp_path, capsys, mode):
+        # total_time / step_size is 1000, but each of the ~2e13 swap segments
+        # takes at least one step
+        cfg = write_config(tmp_path, {
+            "version": 1, "seed": 1, "fixture": "two-mode-symmetric",
+            "overrides": {"total_time": 20.0, "step_size": 0.02, "swap_rate": 1e12},
+        })
+        start = time.perf_counter()
+        code = main(["--config", cfg, "--mode", mode, "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "overrides.swap_rate" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("mode, block", [("sample", "sample"), ("baseline-compare", "baseline")])
     @pytest.mark.parametrize("key", ["main_time", "overrides.step_size"])
     def test_run_shorter_than_one_step_is_refused(self, tmp_path, capsys, mode, block, key):
@@ -483,6 +499,17 @@ class TestSampleMode:
             header = fh.readline().strip()
         assert header == "x0"
 
+    def test_perturbed_fixture_is_sampled_but_not_graded(self, tmp_path):
+        # its oracle samples the two-mode density times exp(-0.1 sin x), which
+        # has no exact mixture target to grade against
+        doc = {**sample_config(), "fixture": "perturbed-mixture"}
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, doc), "--mode", "sample",
+                     "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["num_samples"] >= 1
+        assert "tv" not in metrics and "mode_masses" not in metrics
+
     def test_identical_configs_reproduce_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, sample_config())
         outs = []
@@ -513,6 +540,14 @@ class TestBaselineCompareMode:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "mixture fixture" in capsys.readouterr().err
+
+    def test_rejects_fixture_without_a_target(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**sample_config(), "fixture": "perturbed-mixture"})
+        code = main(["--config", cfg, "--mode", "baseline-compare",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "mixture fixture" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_start_center_is_refused_before_sampling(self, tmp_path, capsys):
         doc = sample_config(seed=4)

@@ -830,14 +830,10 @@ class TestCanonicalPaths:
 class TestVerifySimple:
     def test_two_gaussian_instance_passes_both_bounds(self):
         grid = np.linspace(-5.0, 5.0, 64)
-        h = float(grid[1] - grid[0])
         dens = np.stack(
             [gauss_masses(grid, -1.2, 0.9), gauss_masses(grid, 1.2, 0.9)]
         )
-        inst = SimpleInstance(
-            grid=grid, weights=np.array([0.5, 0.5]), densities=dens,
-            base_rate=1.0 / h**2,
-        )
+        inst = SimpleInstance(grid=grid, weights=np.array([0.5, 0.5]), densities=dens)
         reports = verify_simple_decomposition(inst)
         assert [r.theorem for r in reports] == [
             "mixture-decomposition-chi2",
@@ -852,12 +848,8 @@ class TestVerifySimple:
 
     def test_single_component_reduces_to_its_own_constant(self):
         grid = np.linspace(-4.0, 4.0, 48)
-        h = float(grid[1] - grid[0])
         dens = gauss_masses(grid, 0.3, 1.1)[None, :]
-        inst = SimpleInstance(
-            grid=grid, weights=np.array([1.0]), densities=dens,
-            base_rate=1.0 / h**2,
-        )
+        inst = SimpleInstance(grid=grid, weights=np.array([1.0]), densities=dens)
         chi2_rep, overlap_rep = verify_simple_decomposition(inst)
         for rep in (chi2_rep, overlap_rep):
             assert rep.passed
@@ -874,8 +866,7 @@ class TestVerifySimple:
                             lambda w, dens, kind: build(w, np.eye(w.size), kind))
         grid = np.linspace(-4.0, 4.0, 40)
         dens = np.stack([gauss_masses(grid, -1.0, 0.8), gauss_masses(grid, 1.4, 1.0)])
-        inst = SimpleInstance(grid=grid, weights=np.array([0.6, 0.4]), densities=dens,
-                              base_rate=1.0 / float(grid[1] - grid[0]) ** 2)
+        inst = SimpleInstance(grid=grid, weights=np.array([0.6, 0.4]), densities=dens)
         for rep in verify_simple_decomposition(inst):
             assert rep.C_bar == rep.bound == rep.slack == INFINITY
             assert rep.passed
@@ -883,19 +874,15 @@ class TestVerifySimple:
     def test_nan_weight_is_rejected(self):
         grid = np.linspace(-4.0, 4.0, 40)
         dens = np.stack([gauss_masses(grid, -1.0, 0.8), gauss_masses(grid, 1.4, 1.0)])
-        inst = SimpleInstance(grid=grid, weights=np.array([np.nan, 0.4]), densities=dens,
-                              base_rate=1.0 / float(grid[1] - grid[0]) ** 2)
+        inst = SimpleInstance(grid=grid, weights=np.array([np.nan, 0.4]), densities=dens)
         with pytest.raises(ValueError, match="weights must be positive"):
             verify_simple_decomposition(inst)
 
     def test_identical_components_trigger_rate_cap_but_pass(self):
         grid = np.linspace(-3.0, 3.0, 32)
-        h = float(grid[1] - grid[0])
         d = gauss_masses(grid, 0.0, 1.0)
-        inst = SimpleInstance(
-            grid=grid, weights=np.array([0.5, 0.5]),
-            densities=np.stack([d, d]), base_rate=1.0 / h**2,
-        )
+        inst = SimpleInstance(grid=grid, weights=np.array([0.5, 0.5]),
+                              densities=np.stack([d, d]))
         with pytest.warns(RuntimeWarning, match="capping"):
             reports = verify_simple_decomposition(inst)
         assert all(r.passed for r in reports)
@@ -944,14 +931,12 @@ class TestVerifyTempering:
 
     def test_single_level_matches_simple_verifier(self):
         grid = np.linspace(-4.0, 4.0, 40)
-        h = float(grid[1] - grid[0])
         dens = np.stack(
             [gauss_masses(grid, -1.0, 0.8), gauss_masses(grid, 1.4, 1.0)]
         )
         w = np.array([0.6, 0.4])
         simple = verify_simple_decomposition(
-            SimpleInstance(grid=grid, weights=w, densities=dens,
-                           base_rate=1.0 / h**2)
+            SimpleInstance(grid=grid, weights=w, densities=dens)
         )[0]
         temp = verify_tempering_decomposition(
             TemperingInstance(

@@ -34,7 +34,7 @@ from temperlab import (
     substep_schedule,
     swap_attempt,
 )
-from temperlab.sampler import SwapStats
+from temperlab.sampler import SwapStats, _run_steps_bound
 
 
 class ZeroNoiseRng:
@@ -402,41 +402,58 @@ def test_record_structure_invariants():
     occ = rec.level_occupancy()
     assert occ.shape == (ladder.num_levels,)
     assert occ.sum() == pytest.approx(1.0)
+    for thin in (1, 3):
+        rec = run_stlmc(orc, ladder, params, RngStream(8), thin=thin)
+        # the start, every thin-th step, the state after each level move, the end
+        assert rec.steps.size == 2 + rec.swap_stats.attempts + rec.total_steps // thin
 
 
 def test_trajectory_replays_from_single_steps():
-    """Rebuild the whole run out of langevin_step + swap_attempt, bit for bit."""
-    orc, ladder, params = small_gaussian_setup(total_time=15.0, eta=0.07)
-    seed = 99
-    rec = run_stlmc(orc, ladder, params, RngStream(seed), thin=1)
+    """Rebuild the whole run out of langevin_step + swap_attempt, bit for bit.
+    At swap rate 50 > 1/eta most segments are shorter than eta and still take
+    one step each."""
+    for lam in (1.0, 50.0):
+        orc, ladder, params = small_gaussian_setup(total_time=15.0, eta=0.07, lam=lam)
+        seed = 99
+        rec = run_stlmc(orc, ladder, params, RngStream(seed), thin=1)
 
-    rng = RngStream(seed)
-    x = params.init_std * rng.normal(1)
-    events = draw_swap_times(rng, params.swap_rate, params.total_time)
-    level = 1
-    rows = [(0.0, 1, x.copy())]
-    seg_start = 0.0
-    boundaries = np.concatenate([events, [params.total_time]])
-    for k, seg_end in enumerate(boundaries):
-        seg = seg_end - seg_start
-        if seg > 0:
-            m, h = substep_schedule(seg, params.step_size)
-            beta = float(ladder.betas[level - 1])
-            for j in range(m):
-                x = langevin_step(orc, beta, x, h, rng)
-                rows.append((seg_start + (j + 1) * h, level, x.copy()))
-        seg_start = seg_end
-        if k < events.size:
-            level = swap_attempt(level, x, ladder, orc, rng)
-            rows.append((seg_end, level, x.copy()))
-    rows.append((params.total_time, level, x.copy()))
+        rng = RngStream(seed)
+        x = params.init_std * rng.normal(1)
+        events = draw_swap_times(rng, params.swap_rate, params.total_time)
+        level = 1
+        rows = [(0.0, 1, x.copy())]
+        seg_start = 0.0
+        boundaries = np.concatenate([events, [params.total_time]])
+        for k, seg_end in enumerate(boundaries):
+            seg = seg_end - seg_start
+            if seg > 0:
+                m, h = substep_schedule(seg, params.step_size)
+                beta = float(ladder.betas[level - 1])
+                for j in range(m):
+                    x = langevin_step(orc, beta, x, h, rng)
+                    rows.append((seg_start + (j + 1) * h, level, x.copy()))
+            seg_start = seg_end
+            if k < events.size:
+                level = swap_attempt(level, x, ladder, orc, rng)
+                rows.append((seg_end, level, x.copy()))
+        rows.append((params.total_time, level, x.copy()))
 
-    expect_pos = np.array([r[2][0] for r in rows])
-    expect_lev = np.array([r[1] for r in rows])
-    np.testing.assert_array_equal(rec.positions[:, 0], expect_pos)
-    np.testing.assert_array_equal(rec.levels, expect_lev)
-    assert rec.levels[-1] == level
-    np.testing.assert_array_equal(rec.positions[-1], x)
+        expect_pos = np.array([r[2][0] for r in rows])
+        expect_lev = np.array([r[1] for r in rows])
+        np.testing.assert_array_equal(rec.times, [r[0] for r in rows])
+        np.testing.assert_array_equal(rec.positions[:, 0], expect_pos)
+        np.testing.assert_array_equal(rec.levels, expect_lev)
+        assert rec.levels[-1] == level
+        np.testing.assert_array_equal(rec.positions[-1], x)
+
+
+def test_run_steps_bound_holds_where_segments_take_one_step():
+    # at swap rate 50 > 1/eta a run takes several times total_time / eta steps,
+    # yet on average no more than the bound the command line refuses runs by
+    orc, ladder, params = small_gaussian_setup(total_time=15.0, eta=0.07, lam=50.0)
+    rng = RngStream(3)
+    mean = np.mean([run_stlmc(orc, ladder, params, rng).total_steps for _ in range(10)])
+    assert 3 * params.total_time / params.step_size < mean <= _run_steps_bound(params)
 
 
 def test_no_swaps_reduces_to_plain_langevin():
