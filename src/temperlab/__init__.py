@@ -54,7 +54,6 @@ from .divergences import (
     chi2_gaussian,
     chi2_numeric,
     kl_mixture_upper_bound_check,
-    kl_numeric,
 )
 from .decomposition import (
     CanonicalPathSet,
@@ -85,6 +84,7 @@ from .diagnostics import (
     empirical_tv,
     integrated_autocorr,
     mode_masses,
+    modes_separated,
 )
 from .fixtures import (
     Fixture,

@@ -14,7 +14,7 @@ Exit codes: 0 all checks passed, 1 a check failed (the failing report path
 is printed), 2 usage or config/schema errors, non-finite config numbers,
 fixtures and schedules the library cannot build from the config's values,
 and failed sampling runs (a stage that keeps too few runs, a step that
-overflows).
+overflows, a baseline-compare long run with no coldest-level sample).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .decomposition import (
     verify_simple_decomposition,
     verify_tempering_decomposition,
 )
-from .diagnostics import empirical_tv, integrated_autocorr, mode_masses
+from .diagnostics import empirical_tv, integrated_autocorr, mode_masses, modes_separated
 from .divergences import _jsonable
 from .fixtures import (
     Fixture,
@@ -226,6 +226,17 @@ def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
     return ladder, long_params, staged, rec, rng
 
 
+def _graded(samples: np.ndarray, target) -> dict:
+    """num_samples, plus for a 1-d mixture target the binned `tv` and, when
+    its modes are separated, `mode_masses`; an empty sample gets no grades."""
+    graded = {"num_samples": int(samples.shape[0])}
+    if target is not None and target.dim == 1 and samples.shape[0] >= 1:
+        graded["tv"] = empirical_tv(samples, target)[0]
+        if target.m >= 2 and modes_separated(target):
+            graded["mode_masses"] = mode_masses(samples, target)
+    return graded
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -265,7 +276,7 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
     _write_json(out_dir / "run.json", run_doc)
 
     metrics = {
-        "num_samples": int(samples.shape[0]),
+        **_graded(samples, fixture.target),
         "total_steps": rec.total_steps,
         "level_occupancy": rec.level_occupancy(),
         "swap": {
@@ -274,15 +285,6 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
             "out_of_bounds": rec.swap_stats.out_of_bounds,
         },
     }
-    target = fixture.target
-    if target is not None and target.dim == 1 and samples.shape[0] >= 1:
-        tv, _ = empirical_tv(samples, target)
-        metrics["tv"] = tv
-        if target.m >= 2:
-            try:
-                metrics["mode_masses"] = mode_masses(samples, target)
-            except ValueError:
-                pass
     if samples.shape[0] >= 4:
         ac = integrated_autocorr(samples[:, 0])
         metrics["autocorr"] = {
@@ -472,8 +474,9 @@ def _mode_verify_divergences(config: dict, out_dir: Path) -> bool:
 def _mode_baseline_compare(config: dict, out_dir: Path) -> bool:
     fixture = _fixture_from_config(config)
     target = fixture.target
-    if target is None or target.dim != 1 or target.m < 2:
-        raise ConfigError("baseline-compare needs a 1-d mixture fixture with >= 2 modes")
+    if target is None or target.dim != 1 or target.m < 2 or not modes_separated(target):
+        raise ConfigError("baseline-compare needs a 1-d mixture fixture with >= 2 modes, "
+                          "centers at least 4 base standard deviations apart; change the fixture")
     b = config.get("baseline", {})
     start_idx = b.get("start_center", target.m - 1)
     if start_idx >= target.m:
@@ -481,49 +484,41 @@ def _mode_baseline_compare(config: dict, out_dir: Path) -> bool:
     thin = b.get("thin", 1)
     ladder, long_params, _, rec, rng = _staged_long_run(fixture, config, "baseline", thin)
     samples = rec.positions_at_level(ladder.num_levels)
+    if samples.shape[0] == 0:
+        raise ConfigError(f"the long run ({long_params.total_time:.6g} time units) recorded no "
+                          "sample at the coldest level; raise baseline.main_time")
     x0 = target.centers[start_idx]
     base_rec = run_plain_langevin(
         fixture.oracle,
         1.0,
         long_params.step_size,
-        max(rec.total_steps, 1),
+        rec.total_steps,
         x0,
         rng,
         thin=thin,
     )
     plain = base_rec.positions[1:]
 
-    tv_t, _ = empirical_tv(samples, target)
-    tv_p, _ = empirical_tv(plain, target)
-    masses_t = mode_masses(samples, target)
-    masses_p = mode_masses(plain, target)
+    tempering, langevin = _graded(samples, target), _graded(plain, target)
+    tv_t, masses_t = tempering["tv"], tempering["mode_masses"]
+    tv_p, minority = langevin["tv"], float(langevin["mode_masses"].min())
     metrics = {
-        "tempering": {
-            "num_samples": int(samples.shape[0]),
-            "mode_masses": masses_t,
-            "tv": tv_t,
-        },
-        "langevin": {
-            "num_samples": int(plain.shape[0]),
-            "mode_masses": masses_p,
-            "tv": tv_p,
-            "minority_mass": float(masses_p.min()),
-            "start_center": int(start_idx),
-        },
+        "tempering": tempering,
+        "langevin": {**langevin, "minority_mass": minority, "start_center": int(start_idx)},
         "budget": {
             "tempering_steps": rec.total_steps,
-            "langevin_steps": max(rec.total_steps, 1),
+            "langevin_steps": rec.total_steps,
         },
     }
     balanced = bool(np.all(masses_t >= 0.40) and np.all(masses_t <= 0.60)) if target.m == 2 else True
-    passed = balanced and tv_t < 0.10 and float(masses_p.min()) <= 0.01
+    passed = balanced and tv_t < 0.10 and minority <= 0.01
     metrics["passed"] = passed
     path = out_dir / "baseline_metrics.json"
     _write_json(path, metrics)
     _write_manifest(out_dir, "baseline-compare", config, ["baseline_metrics.json"])
     print(
         f"baseline: tempering tv={tv_t:.4f} masses={np.round(masses_t, 3)}; "
-        f"langevin tv={tv_p:.4f} minority={masses_p.min():.4f}"
+        f"langevin tv={tv_p:.4f} minority={minority:.4f}"
     )
     if not passed:
         print(f"FAIL: see {path}")

@@ -17,6 +17,7 @@ __all__ = [
     "AutocorrEstimate",
     "empirical_tv",
     "mode_masses",
+    "modes_separated",
     "integrated_autocorr",
 ]
 
@@ -103,28 +104,32 @@ def empirical_tv(
     return tv, hist
 
 
+def modes_separated(target: MixtureTarget) -> bool:
+    """True when every two centers are at least 4 base standard deviations
+    apart, the separation nearest-center masses need; a single center is."""
+    if target.m < 2:
+        return True
+    C = target.centers
+    d2 = np.sum((C[:, None, :] - C[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return not math.sqrt(float(d2.min())) < 4.0 * target.base.sigma_equiv
+
+
 def mode_masses(samples: np.ndarray, target: MixtureTarget) -> np.ndarray:
     """Fraction of samples nearest each center, in center order.
 
-    Only meaningful when the modes are actually separated; requires all
-    pairwise center distances to be at least 4 base standard deviations.
+    Only meaningful when the modes are actually separated, so a target that
+    fails `modes_separated` is refused.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.shape[1] != target.dim:
         raise ValueError("sample dimension disagrees with the target")
-    C = target.centers
-    if target.m >= 2:
-        d2 = np.sum((C[:, None, :] - C[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        sep = math.sqrt(float(d2.min()))
-        if sep < 4.0 * target.base.sigma_equiv:
-            raise ValueError(
-                f"centers are only {sep:.3g} apart; nearest-center masses "
-                "need separation of at least 4 base standard deviations"
-            )
-    d2 = np.sum((X[:, None, :] - C[None, :, :]) ** 2, axis=2)
+    if not modes_separated(target):
+        raise ValueError("nearest-center masses need a separation of at least 4 base "
+                         "standard deviations between every two centers")
+    d2 = np.sum((X[:, None, :] - target.centers[None, :, :]) ** 2, axis=2)
     nearest = np.argmin(d2, axis=1)
     counts = np.bincount(nearest, minlength=target.m)
     return counts / X.shape[0]

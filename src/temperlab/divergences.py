@@ -30,7 +30,6 @@ __all__ = [
     "CheckReport",
     "chi2_gaussian",
     "chi2_numeric",
-    "kl_numeric",
     "check_temp_scaling_bounds",
     "check_partition_ratio_bound",
     "kl_mixture_upper_bound_check",
@@ -226,11 +225,6 @@ def chi2_numeric(log_q, log_p, grid: QuadratureGrid) -> float:
         val = float(np.expm1(_logsumexp(2.0 * a[on] - b[on])))
     # roundoff can push an exact zero a hair negative
     return max(val, 0.0)
-
-
-def kl_numeric(log_p, log_q, grid: QuadratureGrid) -> float:
-    """KL(P || Q) by quadrature on log-densities; inf off Q's support."""
-    return _kl(_log_normalized(grid, log_p, name="p"), _log_normalized(grid, log_q, name="q"))
 
 
 def _kl(a: np.ndarray, b: np.ndarray) -> float:

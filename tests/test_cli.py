@@ -32,6 +32,9 @@ TINY_MIXTURE = {
     "base": {"kind": "isotropic-gaussian", "sigma": 1.0},
 }
 
+# 2 base standard deviations apart: too close for nearest-center mode masses
+CLOSE_PAIR = {**TINY_MIXTURE, "name": "close-pair", "centers": [[-1.0], [1.0]]}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -510,6 +513,15 @@ class TestSampleMode:
         assert metrics["num_samples"] >= 1
         assert "tv" not in metrics and "mode_masses" not in metrics
 
+    def test_close_modes_get_tv_but_no_mode_masses(self, tmp_path):
+        doc = {**sample_config(), "fixture": CLOSE_PAIR}
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, doc), "--mode", "sample",
+                     "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["num_samples"] >= 1
+        assert "tv" in metrics and "mode_masses" not in metrics
+
     def test_identical_configs_reproduce_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, sample_config())
         outs = []
@@ -561,6 +573,35 @@ class TestBaselineCompareMode:
         assert code == 2
         assert time.perf_counter() - start < 1.0
         assert "start_center" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_close_modes_are_refused_before_sampling(self, tmp_path, capsys):
+        doc = {**sample_config(seed=4), "fixture": CLOSE_PAIR, "baseline": {"main_time": 50.0}}
+        del doc["sample"]
+        out = tmp_path / "base"
+        start = time.perf_counter()
+        code = main(["--config", write_config(tmp_path, doc), "--mode", "baseline-compare",
+                     "--out", str(out)])
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and "fixture" in err
+        assert not out.exists()
+
+    def test_long_run_without_coldest_samples_exits_2(self, tmp_path, capsys):
+        # no baseline block: the long run lasts one staged run's 10 time units
+        # and, at this seed, never reaches the coldest level
+        cfg = write_config(tmp_path, {
+            "version": 1, "seed": 11, "fixture": "two-mode-symmetric",
+            "schedule": {"c_samples": 0.05},
+            "overrides": {"total_time": 10.0, "step_size": 0.05, "swap_rate": 1.0},
+        })
+        out = tmp_path / "base"
+        code = main(["--config", cfg, "--mode", "baseline-compare", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "baseline.main_time" in err
         assert not (out / "manifest.json").exists()
 
     def test_writes_comparison_metrics(self, tmp_path):

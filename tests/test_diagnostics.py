@@ -9,6 +9,7 @@ from temperlab.diagnostics import (
     empirical_tv,
     integrated_autocorr,
     mode_masses,
+    modes_separated,
 )
 from temperlab.oracles import BaseFunction, MixtureTarget
 
@@ -214,8 +215,17 @@ class TestModeMasses:
             base=BaseFunction.isotropic_gaussian(1.0),
             dim=1,
         )
+        assert not modes_separated(target)
         with pytest.raises(ValueError, match="separation"):
             mode_masses(np.zeros((10, 1)), target)
+        single = MixtureTarget(weights=np.array([1.0]), centers=np.array([[0.0]]),
+                               base=BaseFunction.isotropic_gaussian(1.0), dim=1)
+        assert modes_separated(single)
+        # 4 base standard deviations apart counts as separated, a hair less does not
+        assert modes_separated(two_mode_target(a=2.0))
+        assert not modes_separated(two_mode_target(a=2.0 - 1e-9))
+        assert modes_separated(two_mode_target(a=3.0, sigma=1.5))
+        assert not modes_separated(two_mode_target(a=3.0, sigma=1.5 + 1e-9))
 
     def test_dimension_mismatch_rejected(self):
         target = two_mode_target()

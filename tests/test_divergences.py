@@ -22,7 +22,6 @@ from temperlab import (
     check_temp_scaling_bounds,
     get_fixture,
     kl_mixture_upper_bound_check,
-    kl_numeric,
 )
 
 # -inf - (-inf) or log(0) in the log-space code must fail, not become nan
@@ -195,13 +194,18 @@ def test_normalization_guard():
 # KL
 
 
+def kl_by_quadrature(log_p, log_q, grid):
+    """KL(P || Q): the left side of the mixture check with one component each."""
+    return kl_mixture_upper_bound_check([1.0], [log_p], [1.0], [log_q], grid).details["lhs"]
+
+
 def test_kl_gaussian_closed_form():
     # KL(N(mu, s^2) || N(0,1)) = ln(1/s) + (s^2 + mu^2 - 1)/2
     for mu, s in ((0.0, 0.5), (1.2, 1.0), (-0.7, 1.4)):
         grid = QuadratureGrid.for_gaussians(
             [[mu], [0.0]], [s, 1.0], nodes_per_axis=1200, rule="gauss-legendre"
         )
-        num = kl_numeric(gauss_logpdf(mu, s), gauss_logpdf(0.0, 1.0), grid)
+        num = kl_by_quadrature(gauss_logpdf(mu, s), gauss_logpdf(0.0, 1.0), grid)
         closed = math.log(1.0 / s) + (s**2 + mu**2 - 1.0) / 2.0
         assert num == pytest.approx(closed, abs=1e-8)
 
@@ -215,9 +219,9 @@ def test_kl_support_violation_infinite():
         return out
 
     # q vanishes on half the line where p is positive
-    assert kl_numeric(gauss_logpdf(0.0, 1.0), clipped, grid) == INFINITY
+    assert kl_by_quadrature(gauss_logpdf(0.0, 1.0), clipped, grid) == INFINITY
     # the reverse direction is finite: 0 * log 0 contributes nothing
-    val = kl_numeric(clipped, gauss_logpdf(0.0, 1.0), grid)
+    val = kl_by_quadrature(clipped, gauss_logpdf(0.0, 1.0), grid)
     assert val == pytest.approx(math.log(2.0), abs=1e-6)
 
 

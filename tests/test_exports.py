@@ -1,5 +1,6 @@
-"""The package surface: every exported name exists where it is declared, and the
-package imports nothing beyond the standard library, numpy and jsonschema."""
+"""The package surface: every exported name exists where it is declared, the
+package imports nothing beyond the standard library, numpy and jsonschema, and
+the benchmark's lab workload still runs against the names it wraps."""
 
 import ast
 import importlib
@@ -59,3 +60,18 @@ def test_config_schedule_and_overrides_are_library_fields():
     props = schema["properties"]
     assert {f.name for f in fields(ScheduleConstants)} == set(props["schedule"]["properties"])
     assert set(props["overrides"]["properties"]) <= {f.name for f in fields(RunParams)}
+
+
+def test_bench_lab_workload_runs_untraced_and_traced(tmp_path, monkeypatch):
+    # bench/workloads.py wraps CLI module names and passes library keywords,
+    # so a rename in the package breaks the benchmark before any timing
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    lab = workloads.Lab(0, tmp_path)
+    lab.setup()
+    tracer = spans.Tracer()
+    plain, traced = lab.run_op(0, spans.NullTracer()), lab.run_op(0, tracer)
+    for op in (plain, traced):
+        assert op.failed == 0 and op.consistent, op.notes
+    assert lab.layer_metrics([(plain, traced)], tracer)
