@@ -14,7 +14,7 @@ Exit codes: 0 all checks passed, 1 a check failed (the failing report path
 is printed), 2 usage or config/schema errors, non-finite config numbers,
 fixtures and schedules the library cannot build from the config's values,
 and failed sampling runs (a stage that keeps too few runs, a step that
-overflows, a baseline-compare long run with no coldest-level sample).
+overflows, a long run with no coldest-level sample).
 """
 
 from __future__ import annotations
@@ -203,7 +203,9 @@ def _ladder_for(fixture: Fixture, config: dict):
 def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
     """Stage the partition estimates, then run one long tempering chain with
     the config `section`'s main_time, after checking every run length and the
-    least work of staging.  Returns (ladder, long_params, staged, rec, rng)."""
+    least work of staging.  Returns (ladder, long_params, staged, rec, rng,
+    samples), where samples are the long run's coldest-level positions; a long
+    run that records none is refused."""
     ladder, params = _ladder_for(fixture, config)
     cfg = config.get(section, {})
     main_time = cfg.get("main_time", params.total_time)
@@ -223,14 +225,18 @@ def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
     staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)
     full = ladder.with_partition_estimates(staged.zhat)
     rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
-    return ladder, long_params, staged, rec, rng
+    samples = rec.positions_at_level(L)
+    if samples.shape[0] == 0:
+        raise ConfigError(f"the long run ({long_params.total_time:.6g} time units) recorded no "
+                          f"sample at the coldest level; raise {section}.main_time")
+    return ladder, long_params, staged, rec, rng, samples
 
 
 def _graded(samples: np.ndarray, target) -> dict:
     """num_samples, plus for a 1-d mixture target the binned `tv` and, when
-    its modes are separated, `mode_masses`; an empty sample gets no grades."""
+    its modes are separated, `mode_masses`."""
     graded = {"num_samples": int(samples.shape[0])}
-    if target is not None and target.dim == 1 and samples.shape[0] >= 1:
+    if target is not None and target.dim == 1:
         graded["tv"] = empirical_tv(samples, target)[0]
         if target.m >= 2 and modes_separated(target):
             graded["mode_masses"] = mode_masses(samples, target)
@@ -244,8 +250,8 @@ def _graded(samples: np.ndarray, target) -> dict:
 def _mode_sample(config: dict, out_dir: Path) -> bool:
     fixture = _fixture_from_config(config)
     thin = config.get("sample", {}).get("thin", 10)
-    ladder, long_params, staged, rec, _ = _staged_long_run(fixture, config, "sample", thin)
-    samples = rec.positions_at_level(ladder.num_levels)
+    ladder, long_params, staged, rec, _, samples = _staged_long_run(
+        fixture, config, "sample", thin)
 
     _write_csv(out_dir / "samples.csv", [f"x{i}" for i in range(samples.shape[1])], samples)
     run_doc = {
@@ -405,13 +411,14 @@ def _gaussian_pair_cases(rng: np.random.Generator, count: int) -> dict:
     }
 
 
+NUM_GAUSSIAN_PAIRS = 50  # random chi-squared pairs, plus the pinned one
+NUM_PROBES = 10000  # random points per fixture for the sandwich check
+
+
 def _mode_verify_divergences(config: dict, out_dir: Path) -> bool:
-    v = config.get("verify", {})
-    count = v.get("num_gaussian_pairs", 50)
-    num_probes = v.get("num_probes", 10000)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config["seed"])))
 
-    checks = [_gaussian_pair_cases(rng, count)]
+    checks = [_gaussian_pair_cases(rng, NUM_GAUSSIAN_PAIRS)]
 
     betas = np.linspace(0.05, 1.0, 12)
     for name in ("single-gaussian", "two-mode-symmetric", "two-mode-asymmetric", "simplex-centers"):
@@ -419,7 +426,7 @@ def _mode_verify_divergences(config: dict, out_dir: Path) -> bool:
         t = fx.target
         spread = fx.D + 3.0 * t.base.sigma_equiv
         pts = np.vstack(
-            [rng.normal(0.0, spread, (num_probes, t.dim)), t.centers]
+            [rng.normal(0.0, spread, (NUM_PROBES, t.dim)), t.centers]
         )
         rep = dv.check_temp_scaling_bounds(t, betas, pts)
         rep.details["fixture"] = name
@@ -482,11 +489,7 @@ def _mode_baseline_compare(config: dict, out_dir: Path) -> bool:
     if start_idx >= target.m:
         raise ConfigError(f"start_center must index one of the {target.m} centers")
     thin = b.get("thin", 1)
-    ladder, long_params, _, rec, rng = _staged_long_run(fixture, config, "baseline", thin)
-    samples = rec.positions_at_level(ladder.num_levels)
-    if samples.shape[0] == 0:
-        raise ConfigError(f"the long run ({long_params.total_time:.6g} time units) recorded no "
-                          "sample at the coldest level; raise baseline.main_time")
+    _, long_params, _, rec, rng, samples = _staged_long_run(fixture, config, "baseline", thin)
     x0 = target.centers[start_idx]
     base_rec = run_plain_langevin(
         fixture.oracle,

@@ -147,25 +147,19 @@ def _uniform_spacing(grid: np.ndarray) -> float:
     return h
 
 
-def discretize_density(
-    grid: np.ndarray,
-    density,
-    base_rate: float | None = None,
-) -> FiniteMarkovProcess:
+def discretize_density(grid: np.ndarray, density) -> FiniteMarkovProcess:
     """Birth-death Metropolis chain on a uniform 1-d grid targeting `density`.
 
     density: callable on the grid or an array of (unnormalized) masses.
-    Neighbour rates are base_rate * min(1, pi_nb / pi_x), so each neighbour
-    pair carries the flow base_rate * min(pi_x, pi_nb); the default base_rate
-    1/h^2 makes the chain a discrete Langevin diffusion in the small-h limit.
+    Neighbour rates are min(1, pi_nb / pi_x) / h^2, so each neighbour pair
+    carries the flow min(pi_x, pi_nb) / h^2; the rate 1/h^2 makes the chain a
+    discrete Langevin diffusion in the small-h limit.
     """
     grid = np.asarray(grid, dtype=float)
     h = _uniform_spacing(grid)
     if grid.size > MAX_STATES:
         raise ValueError(f"at most {MAX_STATES} grid points")
-    rate = 1.0 / h**2 if base_rate is None else float(base_rate)
-    if rate <= 0:
-        raise ValueError("base_rate must be > 0")
+    rate = 1.0 / h**2
     vals = np.asarray(density(grid) if callable(density) else density, dtype=float)
     if vals.shape != grid.shape:
         raise ValueError("need one density value per grid point")
@@ -522,7 +516,7 @@ def congestion_bound(
 @dataclass(frozen=True)
 class SimpleInstance:
     """Mixture of discretized 1-d densities sharing a uniform grid; each
-    component chain has discretize_density's default base rate 1/h^2."""
+    component chain has discretize_density's rate 1/h^2."""
 
     grid: np.ndarray
     weights: np.ndarray

@@ -24,11 +24,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HistogramEstimate:
-    """Empirical vs exact bin masses on a common binning.
-
-    edges is (bins+1,) in one dimension and (2, bins+1) in two; the mass
-    arrays follow with shapes (bins,) and (bins, bins).
-    """
+    """Empirical vs exact bin masses on a common 1-d binning: edges is
+    (bins+1,), the mass arrays (bins,)."""
 
     edges: np.ndarray
     empirical: np.ndarray
@@ -37,69 +34,48 @@ class HistogramEstimate:
     exact_out: float
 
     @property
-    def dimension(self) -> int:
-        return self.empirical.ndim
-
-    @property
     def num_bins(self) -> int:
         return self.empirical.shape[0]
-
-
-def _axis_span(target: MixtureTarget, axis: int) -> tuple[float, float]:
-    mus = target.centers[:, axis]
-    pad = 6.0 * target.base.sigma_equiv
-    return float(mus.min() - pad), float(mus.max() + pad)
 
 
 def empirical_tv(
     samples: np.ndarray,
     target: MixtureTarget,
     bins: int = 100,
-    span: tuple | None = None,
 ) -> tuple[float, HistogramEstimate]:
-    """Binned total-variation distance between samples and a 1-d or 2-d target.
+    """Binned total-variation distance between samples and a 1-d target.
 
     Exact bin masses are the node masses of the normalized beta = 1 density
-    on the Gauss-Legendre QuadratureGrid with GL_ORDER * bins nodes per axis,
-    whose panels are the histogram bins.  Mass outside the span is its own
-    bin on both sides of the comparison, so samples that wander far from the
-    target still register: TV tends to 1, not to 0, when the chain runs away.
+    on the Gauss-Legendre QuadratureGrid with GL_ORDER * bins nodes, whose
+    panels are the histogram bins.  Mass outside the span is its own bin on
+    both sides of the comparison, so samples that wander far from the target
+    still register: TV tends to 1, not to 0, when the chain runs away.
 
-    Default span per axis: 6 base standard deviations beyond the extreme
-    centers.  For a 2-d target, pass span as ((xlo, xhi), (ylo, yhi)).
+    The span is 6 base standard deviations beyond the extreme centers.
     """
     if bins < 20:
         raise ValueError("use at least 20 bins")
-    d = target.dim
-    X = np.asarray(samples, dtype=float).reshape(-1, d)
-    if X.shape[0] == 0:
+    if target.dim != 1:
+        raise ValueError(f"binned TV needs a 1-d target, got d = {target.dim}")
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    if x.size == 0:
         raise ValueError("need at least one sample")
-    if span is None:
-        span = tuple(_axis_span(target, k) for k in range(d))
-    elif d == 1:
-        span = (span,)
-    grid = QuadratureGrid.build(span, nodes_per_axis=GL_ORDER * bins, rule="gauss-legendre")
-    edges = np.array([np.linspace(lo, hi, bins + 1) for lo, hi in grid.bounds])
-    counts = (
-        np.histogram(X[:, 0], bins=edges[0])[0] if d == 1
-        else np.histogram2d(X[:, 0], X[:, 1], bins=tuple(edges))[0]
-    )
-    emp = counts / X.shape[0]
-    # log(1 / int exp(-f0)) for f0(z) = z . P z / 2
-    _, logdet = np.linalg.slogdet(np.dot(target.base.precision, np.eye(d)))
-    log_norm = 0.5 * (logdet - d * math.log(2.0 * math.pi))
+    pad = 6.0 * target.base.sigma_equiv
+    lo, hi = float(target.centers.min() - pad), float(target.centers.max() + pad)
+    grid = QuadratureGrid.build([(lo, hi)], nodes_per_axis=GL_ORDER * bins)
+    edges = np.linspace(lo, hi, bins + 1)
+    emp = np.histogram(x, bins=edges)[0] / x.size
+    # log(1 / int exp(-f0)) for f0(z) = z P z / 2
+    _, logdet = np.linalg.slogdet(np.dot(target.base.precision, np.eye(1)))
+    log_norm = 0.5 * (logdet - math.log(2.0 * math.pi))
     mass = np.exp(log_norm - mixture_log_density_many(target, grid.points)) * grid.weights
-    exact = mass.reshape((bins, GL_ORDER) * d).sum(axis=tuple(range(1, 2 * d, 2)))
+    exact = mass.reshape(bins, GL_ORDER).sum(axis=1)
 
     out_frac = 1.0 - float(emp.sum())
     exact_out = max(0.0, 1.0 - float(exact.sum()))
     tv = 0.5 * (float(np.abs(emp - exact).sum()) + abs(out_frac - exact_out))
     hist = HistogramEstimate(
-        edges=edges[0] if d == 1 else edges,
-        empirical=emp,
-        exact=exact,
-        out_fraction=out_frac,
-        exact_out=exact_out,
+        edges=edges, empirical=emp, exact=exact, out_fraction=out_frac, exact_out=exact_out,
     )
     return tv, hist
 

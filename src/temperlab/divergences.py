@@ -43,26 +43,24 @@ _LOG_CAP = 700.0
 
 GL_ORDER = 16  # nodes per panel of the gauss-legendre rule
 
+# how far a density's grid integral may stray from 1, and how far a check's
+# margin may fall below 0, before the density or the check fails
+_NORM_TOL = 1e-4
+_SANDWICH_SLACK = 1e-12  # on log-density margins
+_RATIO_RTOL = 1e-9  # on log Z_beta / Z_alpha
+
 
 class NormalizationError(ValueError):
     """A density failed to integrate to 1 within tolerance on its grid."""
 
 
-def _axis_nodes(lo: float, hi: float, n: int, rule: str):
-    if rule == "trapezoid":
-        x = np.linspace(lo, hi, n)
-        w = np.full(n, (hi - lo) / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return x, w
-    if rule == "gauss-legendre":
-        panels = max(1, math.ceil(n / GL_ORDER))
-        t, wt = np.polynomial.legendre.leggauss(GL_ORDER)
-        edges = np.linspace(lo, hi, panels + 1)
-        a, b = edges[:-1, None], edges[1:, None]
-        half = 0.5 * (b - a)
-        return (half * t + 0.5 * (a + b)).ravel(), (half * wt).ravel()
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+def _axis_nodes(lo: float, hi: float, n: int):
+    panels = max(1, math.ceil(n / GL_ORDER))
+    t, wt = np.polynomial.legendre.leggauss(GL_ORDER)
+    edges = np.linspace(lo, hi, panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (half * t + 0.5 * (a + b)).ravel(), (half * wt).ravel()
 
 
 @dataclass(frozen=True)
@@ -71,20 +69,21 @@ class QuadratureGrid:
 
     Callables receive points shaped (N,) in one dimension and (N, 2) in two,
     and must return (N,) values; the divergences take log-densities.  The
-    integral of values v on the nodes is weights @ v.  The gauss-legendre
-    rule puts GL_ORDER nodes in each of ceil(n/GL_ORDER) equal panels per
-    axis; 2-d nodes are the ij-ordered product of the two axes.
+    integral of values v on the nodes is weights @ v.  The one rule,
+    gauss-legendre, puts GL_ORDER nodes in each of ceil(n/GL_ORDER) equal
+    panels per axis; 2-d nodes are the ij-ordered product of the two axes.
     """
 
     dim: int
     bounds: tuple
     nodes_per_axis: int
-    rule: str
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     @staticmethod
-    def build(bounds, nodes_per_axis: int = 256, rule: str = "trapezoid") -> "QuadratureGrid":
+    def build(bounds, nodes_per_axis: int = 256, rule: str = "gauss-legendre") -> "QuadratureGrid":
+        if rule != "gauss-legendre":  # callers may name the rule; there is only this one
+            raise ValueError(f"unknown quadrature rule {rule!r}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         dim = len(bounds)
         if dim not in (1, 2):
@@ -94,7 +93,7 @@ class QuadratureGrid:
         for lo, hi in bounds:
             if not hi > lo:
                 raise ValueError("each axis bound must be an increasing pair lo < hi")
-        axes = [_axis_nodes(lo, hi, nodes_per_axis, rule) for lo, hi in bounds]
+        axes = [_axis_nodes(lo, hi, nodes_per_axis) for lo, hi in bounds]
         if dim == 1:
             pts, w = axes[0]
         else:
@@ -103,13 +102,12 @@ class QuadratureGrid:
             pts = np.column_stack([X1.ravel(), X2.ravel()])
             w = np.outer(w1, w2).ravel()
         return QuadratureGrid(
-            dim=dim, bounds=bounds, nodes_per_axis=nodes_per_axis,
-            rule=rule, points=pts, weights=w,
+            dim=dim, bounds=bounds, nodes_per_axis=nodes_per_axis, points=pts, weights=w,
         )
 
     @staticmethod
     def for_gaussians(
-        means, sigmas, nodes_per_axis: int = 256, rule: str = "trapezoid", span: float = 8.0
+        means, sigmas, nodes_per_axis: int = 256, rule: str = "gauss-legendre", span: float = 8.0
     ) -> "QuadratureGrid":
         """Box covering every mean plus/minus span standard deviations."""
         M = np.atleast_2d(np.asarray(means, dtype=float))
@@ -133,14 +131,14 @@ class QuadratureGrid:
         return vals
 
 
-def _log_normalized(grid: QuadratureGrid, log_density, tol: float = 1e-4, name: str = "density"):
+def _log_normalized(grid: QuadratureGrid, log_density, name: str = "density"):
     """log(p_i w_i), the log of the probability the density puts on node i,
-    after checking that it integrates to 1 within tol on the grid."""
+    after checking that it integrates to 1 within _NORM_TOL on the grid."""
     log_mass = grid.evaluate(log_density) + np.log(grid.weights)
     total = _logsumexp(log_mass)
-    if not math.log1p(-tol) <= total <= math.log1p(tol):
+    if not math.log1p(-_NORM_TOL) <= total <= math.log1p(_NORM_TOL):
         raise NormalizationError(
-            f"{name} integrates to exp({total!r}) on the grid, outside 1 +- {tol}; "
+            f"{name} integrates to exp({total!r}) on the grid, outside 1 +- {_NORM_TOL}; "
             "the grid likely misses mass or the density is wrong"
         )
     return log_mass - total
@@ -285,7 +283,6 @@ def check_temp_scaling_bounds(
     target: MixtureTarget,
     betas,
     points: np.ndarray,
-    slack: float = 1e-12,
 ) -> CheckReport:
     """Sandwich of the tempered mixture between mixtures of tempered parts.
 
@@ -295,7 +292,7 @@ def check_temp_scaling_bounds(
         gtilde <= g <= gtilde / w_min.
 
     Reports the worst signed margin over all (beta, point) pairs; a margin
-    below -slack counts as a violation.
+    below -_SANDWICH_SLACK counts as a violation.
     """
     betas = np.asarray(betas, dtype=float).reshape(-1)
     if np.any(betas <= 0) or np.any(betas > 1.0 + 1e-15):
@@ -315,7 +312,7 @@ def check_temp_scaling_bounds(
         upper = (log_gt - log_wmin) - log_g
         m = float(min(lower.min(), upper.min()))
         worst = min(worst, m)
-        violations += int(np.sum(lower < -slack) + np.sum(upper < -slack))
+        violations += int(np.sum(lower < -_SANDWICH_SLACK) + np.sum(upper < -_SANDWICH_SLACK))
         cases += 2 * f_mix.size
     return CheckReport(
         check="temp-scaling-sandwich",
@@ -332,7 +329,6 @@ def check_partition_ratio_bound(
     alpha: float,
     beta: float,
     grid: QuadratureGrid,
-    rtol: float = 1e-9,
 ) -> CheckReport:
     """Z_beta / Z_alpha against its analytic envelope, alpha <= beta.
 
@@ -366,8 +362,8 @@ def check_partition_ratio_bound(
     f = mixture_log_density_many(target, grid.points.reshape(-1, d))
     log_w = np.log(grid.weights)
     log_ratio = _logsumexp(log_w - beta * f) - _logsumexp(log_w - alpha * f)
-    upper_margin = -log_ratio + rtol  # log 1 - log ratio
-    lower_margin = log_ratio - log_lower + rtol
+    upper_margin = -log_ratio + _RATIO_RTOL  # log 1 - log ratio
+    lower_margin = log_ratio - log_lower + _RATIO_RTOL
     worst = float(min(upper_margin, lower_margin))
     violations = int(upper_margin < 0) + int(lower_margin < 0)
     return CheckReport(

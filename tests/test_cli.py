@@ -281,9 +281,11 @@ class TestConfigValidation:
             ("overrides", "init_std", 1.0),
             ("sample", "confidence", 0.05),
             ("verify", "tolerance_rel", 1e-5),
+            ("verify", "num_gaussian_pairs", 50),
+            ("verify", "num_probes", 10000),
         ],
         ids=["c_beta1", "c_rate", "c_time", "c_step", "wmin_exponent", "target_accuracy",
-             "init_std", "confidence", "tolerance_rel"],
+             "init_std", "confidence", "tolerance_rel", "num_gaussian_pairs", "num_probes"],
     )
     def test_removed_setting_exits_2_and_names_it(self, tmp_path, capsys, block, key, value):
         # each value is the one the code uses, so only the key itself is refused
@@ -355,8 +357,7 @@ def test_quadratic_form_fixture_gets_the_logconcave_schedule():
     "mode", ["sample", "verify-decomposition", "verify-divergences", "baseline-compare"])
 def test_manifest_lists_every_file_the_mode_writes(tmp_path, mode):
     doc = {**sample_config(seed=4), "baseline": {"main_time": 50.0},
-           "verify": {"num_simple": 2, "num_tempering": 1, "num_gaussian_pairs": 2,
-                      "num_probes": 100}}
+           "verify": {"num_simple": 2, "num_tempering": 1}}
     out = tmp_path / "out"
     # the tiny fixture may honestly fail the baseline margin; the files are written either way
     assert main(["--config", write_config(tmp_path, doc), "--mode", mode,
@@ -447,11 +448,7 @@ class TestVerifyDecompositionMode:
 
 class TestVerifyDivergencesMode:
     def test_small_suite_passes(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "version": 1,
-            "seed": 9,
-            "verify": {"num_gaussian_pairs": 3, "num_probes": 200},
-        })
+        cfg = write_config(tmp_path, {"version": 1, "seed": 9})
         out = tmp_path / "div"
         assert main(["--config", cfg, "--mode", "verify-divergences",
                      "--out", str(out)]) == 0
@@ -459,7 +456,7 @@ class TestVerifyDivergencesMode:
         assert report["passed"] is True
         checks = report["checks"]
         assert checks[0]["check"] == "chi2-closed-vs-quadrature"
-        assert checks[0]["num_cases"] == 4  # 3 random pairs + the pinned one
+        assert checks[0]["num_cases"] == 51  # 50 random pairs + the pinned one
         names = {c["check"] for c in checks}
         assert "temp-scaling-sandwich" in names
         assert "partition-ratio-envelope" in names
@@ -521,6 +518,22 @@ class TestSampleMode:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["num_samples"] >= 1
         assert "tv" in metrics and "mode_masses" not in metrics
+
+    def test_long_run_without_coldest_samples_exits_2(self, tmp_path, capsys):
+        # no sample block: the long run lasts one staged run's 10 time units
+        # and, at this seed, never reaches the coldest level
+        cfg = write_config(tmp_path, {
+            "version": 1, "seed": 11, "fixture": "two-mode-symmetric",
+            "schedule": {"c_samples": 0.05},
+            "overrides": {"total_time": 10.0, "step_size": 0.05, "swap_rate": 1.0},
+        })
+        out = tmp_path / "run"
+        code = main(["--config", cfg, "--mode", "sample", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "sample.main_time" in err
+        assert not out.exists()
 
     def test_identical_configs_reproduce_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, sample_config())

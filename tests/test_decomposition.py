@@ -158,16 +158,16 @@ class TestProcessValidation:
 class TestDiscretizeDensity:
     def test_uniform_density_gives_equal_rates(self):
         grid = np.linspace(0.0, 3.0, 4)
-        proc = discretize_density(grid, np.ones(4), base_rate=2.5)
+        proc = discretize_density(grid, np.ones(4))  # h = 1, so the rate 1/h^2 is 1
         for i in range(3):
-            assert proc.rates[i, i + 1] == 2.5
-            assert proc.rates[i + 1, i] == 2.5
+            assert proc.rates[i, i + 1] == 1.0
+            assert proc.rates[i + 1, i] == 1.0
         np.testing.assert_allclose(proc.stationary, 0.25)
 
     def test_two_point_detailed_balance_ratio(self):
-        proc = discretize_density(np.array([0.0, 1.0]), np.array([1.0, 2.0]),
-                                  base_rate=1.0)
+        proc = discretize_density(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         np.testing.assert_allclose(proc.stationary, [1.0 / 3.0, 2.0 / 3.0])
+        assert proc.rates[0, 1] == 1.0  # uphill at the full rate 1/h^2, h = 1
         assert proc.rates[0, 1] / proc.rates[1, 0] == 2.0
 
     def test_default_base_rate_is_inverse_spacing_squared(self):

@@ -61,10 +61,11 @@ class TestQuadratureGrid:
         val = float(grid.weights @ grid.evaluate(lambda x: x**3))
         assert val == pytest.approx(4.0, rel=1e-14)
 
-    def test_trapezoid_close_on_smooth_density(self):
-        grid = QuadratureGrid.build([(-9.0, 9.0)], nodes_per_axis=2000)
-        val = float(grid.weights @ np.exp(grid.evaluate(gauss_logpdf(0.0, 1.0))))
-        assert val == pytest.approx(1.0, abs=1e-9)
+    def test_gauss_legendre_is_the_only_rule(self):
+        for build in (lambda rule: QuadratureGrid.build([(-9.0, 9.0)], rule=rule),
+                      lambda rule: QuadratureGrid.for_gaussians([[0.0]], [1.0], rule=rule)):
+            with pytest.raises(ValueError, match="unknown quadrature rule"):
+                build("trapezoid")
 
     def test_two_dim_product_weights(self):
         grid = QuadratureGrid.build(

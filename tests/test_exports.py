@@ -1,9 +1,11 @@
 """The package surface: every exported name exists where it is declared, the
-package imports nothing beyond the standard library, numpy and jsonschema, and
-the benchmark's lab workload still runs against the names it wraps."""
+package imports nothing beyond the standard library, numpy and jsonschema,
+every config setting is read by the CLI, and the benchmark's workloads still
+run against the names they call."""
 
 import ast
 import importlib
+import inspect
 import json
 import sys
 from dataclasses import fields
@@ -14,6 +16,7 @@ import pytest
 
 import temperlab
 from temperlab.ladder import RunParams, ScheduleConstants
+from temperlab.sampler import RngStream, run_main, run_stlmc
 
 MODULES = ("cli", "decomposition", "diagnostics", "divergences", "fixtures", "ladder",
            "oracles", "sampler")
@@ -62,12 +65,43 @@ def test_config_schedule_and_overrides_are_library_fields():
     assert set(props["overrides"]["properties"]) <= {f.name for f in fields(RunParams)}
 
 
-def test_bench_lab_workload_runs_untraced_and_traced(tmp_path, monkeypatch):
+@pytest.mark.parametrize("block", ["sample", "baseline", "verify"])
+def test_every_mode_setting_is_read_by_the_cli(block):
+    # a setting the schema accepts but nothing reads would be silently ignored
+    schema = json.loads(resources.files("temperlab.data").joinpath("config.schema.json").read_text())
+    source = Path(temperlab.__file__).with_name("cli.py").read_text()
+    keys = schema["properties"][block]["properties"]
+    assert keys and [k for k in keys if f'"{k}"' not in source] == []
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's modules, imported from bench/ as bench/run.py imports them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return {name: importlib.import_module(name) for name in ("checks", "spans", "workloads")}
+
+
+def test_bench_sampler_workloads_set_up(tmp_path, bench):
+    # bench/workloads.py passes library keywords (run_stlmc(target_level=),
+    # QuadratureGrid.build(rule=), ...), so a rename in the package breaks the
+    # benchmark before any timing
+    workloads, checks = bench["workloads"], bench["checks"]
+    staging = workloads.Staging(0, tmp_path)
+    staging.setup()
+    workloads.LongChain(0, tmp_path).setup()
+    rng = RngStream(0)
+    inspect.signature(run_main).bind(staging.fixture.oracle, staging.ladder, staging.params, rng,
+                                     confidence=workloads.CONFIDENCE)
+    rec = run_stlmc(staging.fixture.oracle, staging.ladder.prefix(2), staging.params, rng,
+                    target_level=2)
+    assert checks.check_record(rec).consistent
+    assert staging._validate(staging.z_true, staging.z_true).passed
+
+
+def test_bench_lab_workload_runs_untraced_and_traced(tmp_path, bench):
     # bench/workloads.py wraps CLI module names and passes library keywords,
     # so a rename in the package breaks the benchmark before any timing
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
-    spans = importlib.import_module("spans")
+    workloads, spans = bench["workloads"], bench["spans"]
     lab = workloads.Lab(0, tmp_path)
     lab.setup()
     tracer = spans.Tracer()
