@@ -36,7 +36,7 @@ from .sampler import (
     RunRecord,
     SwapStats,
     draw_swap_times,
-    estimate_partition_ratio,
+    estimate_log_partition_ratio,
     langevin_step,
     run_main,
     run_plain_langevin,

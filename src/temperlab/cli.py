@@ -50,8 +50,9 @@ from .fixtures import (
     target_from_dict,
 )
 from .ladder import RunParams, ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
-from .sampler import (EstimationFailure, NonFiniteGradient, RngStream, _run_steps_bound,
-                      _samples_per_stage, run_main, run_plain_langevin, run_stlmc)
+from .sampler import (MAX_RUN_STEPS, EstimationFailure, NonFiniteGradient, RngStream,
+                      _run_steps_bound, _samples_per_stage, run_main, run_plain_langevin,
+                      run_stlmc)
 
 __all__ = ["main"]
 
@@ -147,11 +148,6 @@ def _fixture_from_config(config: dict) -> Fixture:
     )
 
 
-# Most Langevin steps one staged or long run, or all of staging, may take.  The
-# default schedule constants ask for 1e11-1e24 steps per staged run on builtins.
-MAX_RUN_STEPS = 1e9
-
-
 def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunParams:
     """params with `changes`, refused before sampling unless the run takes at
     least one Langevin step and, by the sampler's bound, at most MAX_RUN_STEPS
@@ -223,7 +219,7 @@ def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
         )
     rng = RngStream(config["seed"])
     staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)
-    full = ladder.with_partition_estimates(staged.zhat)
+    full = replace(ladder, log_partition_estimates=staged.log_zhat)
     rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
     samples = rec.positions_at_level(L)
     if samples.shape[0] == 0:
@@ -259,7 +255,7 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
         "seed": config["seed"],
         "fixture": fixture.name,
         "betas": ladder.betas,
-        "zhat": staged.zhat,
+        "log_zhat": staged.log_zhat,
         "params": {
             "swap_rate": long_params.swap_rate,
             "step_size": long_params.step_size,
@@ -273,8 +269,7 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
                 "samples_kept": s.samples_kept,
                 "runs_attempted": s.runs_attempted,
                 "runs_accepted": s.runs_accepted,
-                "ratio": s.ratio,
-                "zhat_next": s.zhat_next,
+                "log_ratio": s.log_ratio,
             }
             for s in staged.stage_stats
         ],

@@ -76,7 +76,6 @@ class QuadratureGrid:
 
     dim: int
     bounds: tuple
-    nodes_per_axis: int
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -101,9 +100,7 @@ class QuadratureGrid:
             X1, X2 = np.meshgrid(x1, x2, indexing="ij")
             pts = np.column_stack([X1.ravel(), X2.ravel()])
             w = np.outer(w1, w2).ravel()
-        return QuadratureGrid(
-            dim=dim, bounds=bounds, nodes_per_axis=nodes_per_axis, points=pts, weights=w,
-        )
+        return QuadratureGrid(dim=dim, bounds=bounds, points=pts, weights=w)
 
     @staticmethod
     def for_gaussians(

@@ -1,7 +1,7 @@
 """Temperature ladders and run-parameter schedules.
 
 A ladder is a finite sequence of inverse temperatures 0 < beta_1 < ... <
-beta_L = 1, all levels equally likely, with (running) partition estimates.
+beta_L = 1, all levels equally likely, with (running) log partition estimates.
 The builders derive the whole schedule (ladder geometry, swap rate, chain
 length, step size, initial spread) from a handful of problem parameters:
 dimension, center spread D, base-function scale, minimum weight, and target
@@ -50,7 +50,7 @@ class ScheduleConstants:
 
 @dataclass(frozen=True)
 class TemperatureLadder:
-    """Inverse temperatures with partition estimates; levels are equally likely.
+    """Inverse temperatures with log partition estimates; levels are equally likely.
 
     betas strictly increase and end at 1 unless the ladder is an explicit
     prefix of a longer one (partial=True), in which case the endpoint check
@@ -58,12 +58,12 @@ class TemperatureLadder:
     """
 
     betas: np.ndarray
-    partition_estimates: np.ndarray
+    log_partition_estimates: np.ndarray
     partial: bool = False
 
     def __post_init__(self):
         b = np.asarray(self.betas, dtype=float)
-        z = np.asarray(self.partition_estimates, dtype=float)
+        log_z = np.asarray(self.log_partition_estimates, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ValueError("betas must be a non-empty 1-d array")
         if not (np.all(b > 0) and b[-1] <= 1.0 + 1e-12):
@@ -72,10 +72,10 @@ class TemperatureLadder:
             raise ValueError("betas must strictly increase")
         if not self.partial and abs(b[-1] - 1.0) > 1e-12:
             raise ValueError("the coldest level must have beta = 1")
-        if z.shape != b.shape or np.any(z <= 0) or not np.all(np.isfinite(z)):
-            raise ValueError("partition_estimates must be positive and finite")
+        if log_z.shape != b.shape or not np.all(np.isfinite(log_z)):
+            raise ValueError("log_partition_estimates must be finite, one per level")
         object.__setattr__(self, "betas", b)
-        object.__setattr__(self, "partition_estimates", z)
+        object.__setattr__(self, "log_partition_estimates", log_z)
 
     @property
     def num_levels(self) -> int:
@@ -87,12 +87,16 @@ class TemperatureLadder:
             raise ValueError(f"prefix length must be in [1, {self.num_levels}]")
         return TemperatureLadder(
             betas=self.betas[:num].copy(),
-            partition_estimates=self.partition_estimates[:num].copy(),
+            log_partition_estimates=self.log_partition_estimates[:num].copy(),
             partial=self.partial or num < self.num_levels,
         )
 
     def with_partition_estimates(self, zhat) -> "TemperatureLadder":
-        return replace(self, partition_estimates=zhat)
+        """This ladder with linear estimates zhat, stored as their logs."""
+        z = np.asarray(zhat, dtype=float)
+        if np.any(z <= 0) or not np.all(np.isfinite(z)):
+            raise ValueError("partition_estimates must be positive and finite")
+        return replace(self, log_partition_estimates=np.log(z))
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def _check_common(dim: int, w_min: float, target_accuracy: float) -> None:
 def _schedule(betas, D, T, terms, eta_scale, init_std, eps, c):
     """Ladder on `betas` and its RunParams: swap rate 1 / D^2, and a step of
     0.1 * eta_scale times the smallest of the step terms."""
-    ladder = TemperatureLadder(betas=betas, partition_estimates=np.ones(betas.size))
+    ladder = TemperatureLadder(betas=betas, log_partition_estimates=np.zeros(betas.size))
     params = RunParams(
         swap_rate=1.0 / D**2,
         step_size=0.1 * eta_scale * min(terms),
@@ -279,8 +283,8 @@ def validate_partition_estimates(
     L = ladder.num_levels
     if z_true.shape != (L,) or np.any(z_true <= 0):
         raise ValueError("need one positive true partition value per level")
-    rel = (ladder.partition_estimates / z_true)
-    rel = rel / rel[0]
+    log_rel = ladder.log_partition_estimates - np.log(z_true)
+    rel = np.exp(log_rel - log_rel[0])
     i = np.arange(L)
     lo = (1.0 - 1.0 / L) ** i
     hi = (1.0 + 1.0 / L) ** i

@@ -14,7 +14,7 @@ the ladder by one level, repeat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .ladder import RunParams, TemperatureLadder
 from .oracles import DensityOracle, _logsumexp
 
 __all__ = [
+    "MAX_RUN_STEPS",
     "NonFiniteGradient",
     "EstimationFailure",
     "RngStream",
@@ -35,9 +36,14 @@ __all__ = [
     "swap_attempt",
     "substep_schedule",
     "run_stlmc",
-    "estimate_partition_ratio",
+    "estimate_log_partition_ratio",
     "run_main",
 ]
+
+
+# Most Langevin steps (or level-move events) one run, or all of staging, may take;
+# the default schedule constants ask for 1e11-1e24 steps per staged run on builtins.
+MAX_RUN_STEPS = 1e9
 
 
 class NonFiniteGradient(RuntimeError):
@@ -233,12 +239,15 @@ def draw_swap_times(rng: RngStream, rate: float, total_time: float) -> np.ndarra
     """Event times of a Poisson process on (0, total_time), strictly inside.
 
     Drawn in batches of exponential gaps; equivalent in distribution to
-    drawing one gap at a time and clipping at the horizon.
+    drawing one gap at a time and clipping at the horizon.  A rate expecting
+    more than MAX_RUN_STEPS events is refused before the first draw.
     """
     if rate <= 0:
         raise ValueError("rate must be > 0")
     if total_time <= 0:
         raise ValueError("total_time must be > 0")
+    if rate * total_time > MAX_RUN_STEPS:
+        raise ValueError(f"rate {rate:.6g} x total_time {total_time:.6g} > {MAX_RUN_STEPS:.0e}")
     scale = 1.0 / rate
     batch = max(16, int(rate * total_time * 1.5) + 1)
     times = np.array([], dtype=float)
@@ -267,7 +276,7 @@ def swap_attempt(
     The proposal is i-1 or i+1 with probability 1/2 each; a proposal past
     either end leaves the level unchanged (no retry).  Acceptance odds for
     i -> i' are (exp(-beta_i' f) / zhat_i') / (exp(-beta_i f) / zhat_i),
-    computed in log space.
+    computed from the ladder's log estimates.
     """
     i = level
     L = ladder.num_levels
@@ -277,9 +286,8 @@ def swap_attempt(
             stats.out_of_bounds += 1
         return i
     fx = oracle.value(x)
-    log_acc = (ladder.betas[i - 1] - ladder.betas[j - 1]) * fx + math.log(
-        ladder.partition_estimates[i - 1]
-    ) - math.log(ladder.partition_estimates[j - 1])
+    log_z = ladder.log_partition_estimates
+    log_acc = (ladder.betas[i - 1] - ladder.betas[j - 1]) * fx + log_z[i - 1] - log_z[j - 1]
     u = rng.uniform()
     accept = log_acc >= 0.0 or (u > 0.0 and math.log(u) < log_acc)
     if stats is not None:
@@ -389,17 +397,16 @@ def run_stlmc(
     )
 
 
-def estimate_partition_ratio(
+def estimate_log_partition_ratio(
     samples: np.ndarray,
     oracle: DensityOracle,
     beta_lo: float,
     beta_hi: float,
 ) -> float:
-    """Monte Carlo mean of exp((beta_lo - beta_hi) f(x)) over the samples.
+    """log of the Monte Carlo mean of exp((beta_lo - beta_hi) f(x)) over the samples.
 
-    Estimates Z_hi / Z_lo from samples of the beta_lo level.  Requires
-    beta_hi >= beta_lo; equal temperatures return exactly 1.0.  Computed in
-    log space so very negative exponents cannot underflow the average.
+    Estimates log(Z_hi / Z_lo) from samples of the beta_lo level.  Requires
+    beta_hi >= beta_lo; equal temperatures give exactly 0.0.
     """
     if beta_hi < beta_lo:
         raise ValueError("beta_hi must be >= beta_lo")
@@ -408,11 +415,8 @@ def estimate_partition_ratio(
         X = X.reshape(-1, 1)
     if X.shape[0] == 0:
         raise ValueError("need at least one sample")
-    if beta_hi == beta_lo:
-        return 1.0
     fvals = np.array([oracle.value(x) for x in X])
-    log_terms = (beta_lo - beta_hi) * fvals
-    return math.exp(_logsumexp(log_terms) - math.log(X.shape[0]))
+    return _logsumexp((beta_lo - beta_hi) * fvals) - math.log(X.shape[0])
 
 
 # run_main's default failure probability for the kept-run count of a stage.
@@ -435,15 +439,18 @@ class StageStats:
     samples_kept: int
     runs_attempted: int
     runs_accepted: int
-    ratio: float | None
-    zhat_next: float | None
+    log_ratio: float | None
 
 
 @dataclass
 class MainResult:
     samples: np.ndarray
-    zhat: np.ndarray
+    log_zhat: np.ndarray
     stage_stats: list = field(default_factory=list)
+
+    @property
+    def zhat(self) -> np.ndarray:
+        return np.exp(self.log_zhat)
 
 
 # A stage whose rejection rate is above this after its attempt floor aborts.
@@ -462,7 +469,7 @@ def run_main(
 
     Stage ell runs the tempering chain on the first ell levels.  Runs ending
     away from level ell are discarded and redrawn.  For ell < L the accepted
-    endpoints feed the ratio estimate zhat_{ell+1} = r * zhat_ell; the final
+    endpoints feed the ratio estimate log zhat_{ell+1} = log r + log zhat_ell; the final
     stage collects num_final_samples endpoints at beta = 1 and returns them.
 
     Aborts with EstimationFailure if a stage's rejection rate stays above
@@ -470,13 +477,13 @@ def run_main(
     partition estimates (and hence level mixing) have gone wrong.
     """
     L = ladder.num_levels
-    zhat = np.ones(L)
+    log_zhat = np.zeros(L)
     n_per_stage = _samples_per_stage(params, L, confidence)
     stages: list[StageStats] = []
     samples = None
 
     for ell in range(1, L + 1):
-        sub = ladder.prefix(ell).with_partition_estimates(zhat[:ell])
+        sub = replace(ladder.prefix(ell), log_partition_estimates=log_zhat[:ell])
         need = num_final_samples if ell == L else n_per_stage
         got: list[np.ndarray] = []
         attempts = 0
@@ -494,26 +501,23 @@ def run_main(
                     raise EstimationFailure(
                         f"stage {ell}/{L}: {accepted}/{attempts} runs reached "
                         f"level {ell} (rejection rate {rej:.4f} > "
-                        f"{REJECTION_CEILING}); partition estimates so far: "
-                        f"{zhat[:ell].tolist()}"
+                        f"{REJECTION_CEILING}); log partition estimates so far: "
+                        f"{log_zhat[:ell].tolist()}"
                     )
         X = np.asarray(got)
         if ell < L:
-            r = estimate_partition_ratio(
+            log_r = estimate_log_partition_ratio(
                 X, oracle, float(sub.betas[ell - 1]), float(ladder.betas[ell])
             )
-            if not (math.isfinite(r) and r > 0.0):
+            if not math.isfinite(log_r):
                 raise EstimationFailure(
-                    f"stage {ell}/{L}: partition ratio estimate degenerated "
-                    f"to {r!r}; the temperature gap is too wide for the "
-                    f"sampled potentials"
+                    f"stage {ell}/{L}: log partition ratio estimate is {log_r!r}; "
+                    f"the sampled potentials are not finite"
                 )
-            zhat[ell] = zhat[ell - 1] * r
-            stages.append(
-                StageStats(ell, len(got), attempts, accepted, r, float(zhat[ell]))
-            )
+            log_zhat[ell] = log_zhat[ell - 1] + log_r
+            stages.append(StageStats(ell, len(got), attempts, accepted, log_r))
         else:
             samples = X
-            stages.append(StageStats(ell, len(got), attempts, accepted, None, None))
+            stages.append(StageStats(ell, len(got), attempts, accepted, None))
 
-    return MainResult(samples=samples, zhat=zhat, stage_stats=stages)
+    return MainResult(samples=samples, log_zhat=log_zhat, stage_stats=stages)

@@ -484,11 +484,12 @@ class TestSampleMode:
             assert (out / name).exists()
         run = json.loads((out / "run.json").read_text())
         assert run["fixture"] == "tiny-pair"
-        assert len(run["zhat"]) == len(run["betas"])
-        assert run["zhat"][0] == 1.0
+        assert len(run["log_zhat"]) == len(run["betas"])
         assert len(run["stages"]) == len(run["betas"])
-        assert run["stages"][-1]["ratio"] is None
-        assert all(s["ratio"] > 0 for s in run["stages"][:-1])
+        assert run["stages"][-1]["log_ratio"] is None
+        log_ratios = [s["log_ratio"] for s in run["stages"][:-1]]
+        assert all(math.isfinite(r) for r in log_ratios)
+        assert run["log_zhat"] == pytest.approx(np.cumsum([0.0] + log_ratios), abs=1e-12)
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["num_samples"] >= 1
         assert "tv" in metrics

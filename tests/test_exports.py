@@ -1,13 +1,15 @@
 """The package surface: every exported name exists where it is declared, the
 package imports nothing beyond the standard library, numpy and jsonschema,
 every config setting is read by the CLI, and the benchmark's workloads still
-run against the names they call."""
+run against the names they call and its self-test passes."""
 
 import ast
 import importlib
 import inspect
+import io
 import json
 import sys
+import unittest
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -96,6 +98,15 @@ def test_bench_sampler_workloads_set_up(tmp_path, bench):
                     target_level=2)
     assert checks.check_record(rec).consistent
     assert staging._validate(staging.z_true, staging.z_true).passed
+
+
+def test_bench_selftest_passes(bench):
+    # its StagingCheck passes linear estimates through with_partition_estimates
+    # and validate_partition_estimates, as the staging workload does
+    suite = unittest.defaultTestLoader.loadTestsFromModule(importlib.import_module("selftest"))
+    result = unittest.TextTestRunner(stream=io.StringIO()).run(suite)
+    assert result.testsRun > 0
+    assert result.wasSuccessful(), result.failures + result.errors
 
 
 def test_bench_lab_workload_runs_untraced_and_traced(tmp_path, bench):

@@ -158,22 +158,22 @@ class TestLadderType:
         ladder = self.build()
         z = np.linspace(1.0, 2.0, ladder.num_levels)
         upd = ladder.with_partition_estimates(z)
-        np.testing.assert_array_equal(upd.partition_estimates, z)
+        np.testing.assert_array_equal(upd.log_partition_estimates, np.log(z))
         # original untouched
-        assert not np.array_equal(ladder.partition_estimates, z)
+        np.testing.assert_array_equal(ladder.log_partition_estimates, 0.0)
 
     def test_rejects_decreasing_betas(self):
         with pytest.raises(ValueError):
             TemperatureLadder(
                 betas=np.array([0.5, 0.4, 1.0]),
-                partition_estimates=np.ones(3),
+                log_partition_estimates=np.zeros(3),
             )
 
     def test_rejects_cold_end_not_one(self):
         with pytest.raises(ValueError):
             TemperatureLadder(
                 betas=np.array([0.25, 0.5]),
-                partition_estimates=np.ones(2),
+                log_partition_estimates=np.zeros(2),
             )
 
 
@@ -212,8 +212,17 @@ LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accurac
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: TemperatureLadder(betas=[math.nan, 1.0], partition_estimates=np.ones(2)),
+        (lambda: TemperatureLadder(betas=[math.nan, 1.0], log_partition_estimates=np.zeros(2)),
          "beta"),
+        (lambda: TemperatureLadder(betas=[0.5, 1.0], log_partition_estimates=[0.0, math.nan]),
+         "log_partition_estimates must be finite"),
+        (lambda: TemperatureLadder(betas=[0.5, 1.0], log_partition_estimates=[0.0, -math.inf]),
+         "log_partition_estimates must be finite"),
+        # linear estimates are logged, so 0 and inf are refused before np.log
+        (lambda: build_ladder_gaussian(**GAUSS_ARGS)[0].with_partition_estimates(np.zeros(16)),
+         "partition_estimates must be positive and finite"),
+        (lambda: build_ladder_gaussian(**GAUSS_ARGS)[0].with_partition_estimates(
+            np.full(16, math.inf)), "partition_estimates must be positive and finite"),
         (lambda: replace(build_ladder_gaussian(**GAUSS_ARGS)[1], step_size=math.nan),
          "step_size"),
         (lambda: replace(build_ladder_gaussian(**GAUSS_ARGS)[1], swap_rate=math.nan),
@@ -243,7 +252,8 @@ LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accurac
         (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "kappa": 1e-300}),
          "kappa=1e-300"),
     ],
-    ids=["ladder-beta", "step_size", "swap_rate", "init_std", "inf-total_time", "gaussian-D",
+    ids=["ladder-beta", "nan-log-estimate", "inf-log-estimate", "zero-estimate",
+         "inf-estimate", "step_size", "swap_rate", "init_std", "inf-total_time", "gaussian-D",
          "gaussian-sigma", "logconcave-D", "inf-gaussian-D", "inf-gaussian-sigma",
          "inf-logconcave-D", "inf-kappa", "inf-K", "tiny-gaussian-w_min",
          "tiny-logconcave-w_min", "huge-gaussian-D", "huge-logconcave-D",
@@ -272,7 +282,7 @@ class TestPartitionEnvelope:
         betas = np.array([2.0 ** (i - L + 1) for i in range(L)])
         return TemperatureLadder(
             betas=betas,
-            partition_estimates=np.ones(L),
+            log_partition_estimates=np.zeros(L),
         )
 
     def test_exact_values_pass(self):

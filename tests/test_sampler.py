@@ -6,6 +6,7 @@ driver, so any drift in draw order or arithmetic grouping fails loudly.
 """
 
 import math
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temperlab import (
+    BaseFunction,
     EstimationFailure,
     FunctionOracle,
+    MixtureTarget,
     NonFiniteGradient,
     RngStream,
     RunParams,
@@ -24,7 +27,7 @@ from temperlab import (
     TemperatureLadder,
     build_ladder_gaussian,
     draw_swap_times,
-    estimate_partition_ratio,
+    estimate_log_partition_ratio,
     gaussian_log_partition,
     get_fixture,
     langevin_step,
@@ -53,6 +56,16 @@ class ZeroNoiseRng:
         return np.full(size, scale)
 
 
+class UniformSequenceRng(ZeroNoiseRng):
+    """ZeroNoiseRng whose uniforms come from a list, in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def uniform(self):
+        return next(self.uniforms)
+
+
 def quadratic_oracle(dim=2):
     return FunctionOracle(
         value_fn=lambda x: 0.5 * float(x @ x), grad_fn=lambda x: x, dim=dim
@@ -68,7 +81,7 @@ def flat_oracle(dim=1):
 def two_level_ladder(beta1=0.3, z2=0.4):
     return TemperatureLadder(
         betas=np.array([beta1, 1.0]),
-        partition_estimates=np.array([1.0, z2]),
+        log_partition_estimates=np.log([1.0, z2]),
     )
 
 
@@ -127,7 +140,7 @@ def _plain_run(orc):
 
 
 def _tempering_run(orc):
-    ladder = TemperatureLadder(betas=np.array([1.0]), partition_estimates=np.array([1.0]))
+    ladder = TemperatureLadder(betas=np.array([1.0]), log_partition_estimates=np.zeros(1))
     params = RunParams(swap_rate=1e-12, step_size=4.0, total_time=12.0, init_std=1.0,
                        target_accuracy=0.5)
     return run_stlmc(orc, ladder, params, ZeroNoiseRng(), thin=1)
@@ -233,6 +246,14 @@ def test_horizon_shorter_than_first_gap_gives_empty():
     assert t.size == 0
 
 
+def test_rate_beyond_the_run_bound_is_refused_before_drawing():
+    # 2e13 events would be a 160 TB array; the bound is checked before any draw
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rate 1e\\+12"):
+        draw_swap_times(RngStream(0), 1e12, 20.0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_gap_distribution_moments():
     rng = RngStream(31)
     t = draw_swap_times(rng, 4.0, 5000.0)
@@ -263,7 +284,7 @@ def test_swap_preserves_position_and_oob_counts():
 def test_swap_single_level_never_moves():
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        partition_estimates=np.array([1.0]),
+        log_partition_estimates=np.zeros(1),
     )
     orc = quadratic_oracle(dim=1)
     rng = RngStream(2)
@@ -277,7 +298,7 @@ def test_swap_equal_levels_always_accept():
     # degenerate ladder stub: equal temperatures and equal estimates
     ladder = SimpleNamespace(
         betas=np.array([0.5, 0.5]),
-        partition_estimates=np.array([2.0, 2.0]),
+        log_partition_estimates=np.log([2.0, 2.0]),
         num_levels=2,
     )
     orc = quadratic_oracle(dim=1)
@@ -330,6 +351,30 @@ def test_swap_acceptance_matches_analytic_ratio():
     se = math.sqrt(p_up * (1 - p_up) / stats.attempts_up)
     assert 0.0 < p_up < 1.0
     assert abs(freq - p_up) < 3 * se
+
+
+def test_swap_acceptance_on_exact_400_dimensional_log_normalizers():
+    # the exact normalizers of a unit Gaussian span e^921 over this ladder's
+    # 1846 levels, past the float range, so only their logs can be stored; a
+    # move between the two coldest levels accepts with
+    # min(1, exp((beta_i - beta_j) f(x) + log zhat_i - log zhat_j))
+    ladder, _ = build_ladder_gaussian(dim=400, D=10.0, sigma=1.0, w_min=1.0,
+                                      target_accuracy=0.1)
+    target = MixtureTarget(weights=np.ones(1), centers=np.zeros((1, 400)),
+                           base=BaseFunction.isotropic_gaussian(1.0), dim=400)
+    log_z = np.array([gaussian_log_partition(target, float(b)) for b in ladder.betas])
+    assert ladder.num_levels == 1846 and log_z[0] - log_z[-1] > 709.0  # exp() overflows
+    ladder = replace(ladder, log_partition_estimates=log_z)
+    orc = quadratic_oracle(dim=400)  # the unit Gaussian's potential
+    L, b = ladder.num_levels, ladder.betas
+    for x, i, j, direction in ((np.full(400, 1.1), L - 1, L, 0.75),
+                               (np.full(400, 0.85), L, L - 1, 0.25)):
+        fx = orc.value(x)
+        p = min(1.0, math.exp((b[i - 1] - b[j - 1]) * fx + log_z[i - 1] - log_z[j - 1]))
+        assert 0.1 < p < 0.99
+        # the first uniform proposes i -> j, the second accepts when below p
+        assert swap_attempt(i, x, ladder, orc, UniformSequenceRng([direction, p * 0.999])) == j
+        assert swap_attempt(i, x, ladder, orc, UniformSequenceRng([direction, p * 1.001])) == i
 
 
 def test_swap_detailed_balance_at_frozen_position():
@@ -461,7 +506,7 @@ def test_no_swaps_reduces_to_plain_langevin():
     fx = get_fixture("single-gaussian")
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        partition_estimates=np.array([1.0]),
+        log_partition_estimates=np.zeros(1),
     )
     params = RunParams(
         swap_rate=1e-12,
@@ -504,7 +549,7 @@ def test_long_segment_replays_across_noise_blocks():
     fx = get_fixture("single-gaussian")
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        partition_estimates=np.array([1.0]),
+        log_partition_estimates=np.zeros(1),
     )
     params = RunParams(
         swap_rate=1e-12,
@@ -556,7 +601,7 @@ def test_single_level_long_run_moments():
     eta = 0.05
     ladder = TemperatureLadder(
         betas=np.array([1.0]),
-        partition_estimates=np.array([1.0]),
+        log_partition_estimates=np.zeros(1),
     )
     params = RunParams(
         swap_rate=0.01,
@@ -610,40 +655,39 @@ def test_run_stlmc_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# estimate_partition_ratio
+# estimate_log_partition_ratio
 
 
 def test_ratio_equal_temperatures_is_exactly_one():
     orc = quadratic_oracle(dim=1)
-    assert estimate_partition_ratio(np.ones((5, 1)), orc, 0.5, 0.5) == 1.0
+    assert estimate_log_partition_ratio(np.ones((5, 1)), orc, 0.5, 0.5) == 0.0
 
 
 def test_ratio_single_zero_potential_sample():
     orc = flat_oracle()
-    assert estimate_partition_ratio(np.zeros((1, 1)), orc, 0.25, 1.0) == 1.0
+    assert estimate_log_partition_ratio(np.zeros((1, 1)), orc, 0.25, 1.0) == 0.0
 
 
 def test_ratio_hand_value():
     orc = quadratic_oracle(dim=1)
     xs = np.array([[math.sqrt(2.0)], [math.sqrt(6.0)]])  # f = 1 and 3
-    got = estimate_partition_ratio(xs, orc, 0.5, 1.0)
-    expect = 0.5 * (math.exp(-0.5) + math.exp(-1.5))
+    got = estimate_log_partition_ratio(xs, orc, 0.5, 1.0)
+    expect = math.log(0.5 * (math.exp(-0.5) + math.exp(-1.5)))
     assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_ratio_log_space_survives_huge_potentials():
-    # exponents near -740 are below the normal float range; the log-space
-    # mean still comes out positive (subnormal), and mixing in one moderate
-    # sample cannot overflow the sum the way a naive max-first exp would
+    # exponents of -740 are below the normal float range, but their log mean
+    # is exact, and mixing in one moderate sample cannot overflow the sum the
+    # way a naive max-first exp would
     orc = FunctionOracle(
         value_fn=lambda x: float(x[0]), grad_fn=lambda x: np.zeros(1), dim=1
     )
-    r = estimate_partition_ratio(np.full((4, 1), 1480.0), orc, 0.5, 1.0)
-    assert 0.0 < r < 1e-300
-    mixed = estimate_partition_ratio(
+    assert estimate_log_partition_ratio(np.full((4, 1), 1480.0), orc, 0.5, 1.0) == -740.0
+    mixed = estimate_log_partition_ratio(
         np.array([[1480.0], [2.0]]), orc, 0.5, 1.0
     )
-    assert mixed == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+    assert mixed == pytest.approx(math.log(0.5) - 1.0, rel=1e-12)
 
 
 def test_ratio_gaussian_closed_form():
@@ -652,16 +696,16 @@ def test_ratio_gaussian_closed_form():
     orc = quadratic_oracle(dim=1)
     gen = np.random.default_rng(77)
     xs = gen.normal(scale=math.sqrt(1 / 0.5), size=(10_000, 1))
-    got = estimate_partition_ratio(xs, orc, 0.5, 1.0)
-    assert abs(got - math.sqrt(0.5)) < 0.05 * math.sqrt(0.5)
+    got = estimate_log_partition_ratio(xs, orc, 0.5, 1.0)
+    assert abs(math.exp(got) - math.sqrt(0.5)) < 0.05 * math.sqrt(0.5)
 
 
 def test_ratio_input_validation():
     orc = quadratic_oracle(dim=1)
     with pytest.raises(ValueError):
-        estimate_partition_ratio(np.zeros((0, 1)), orc, 0.5, 1.0)
+        estimate_log_partition_ratio(np.zeros((0, 1)), orc, 0.5, 1.0)
     with pytest.raises(ValueError):
-        estimate_partition_ratio(np.zeros((3, 1)), orc, 1.0, 0.5)
+        estimate_log_partition_ratio(np.zeros((3, 1)), orc, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +716,8 @@ def test_staged_estimates_track_closed_form():
     orc, ladder, params = small_gaussian_setup(total_time=20.0, eta=0.05)
     result = run_main(orc, ladder, params, RngStream(6), num_final_samples=5)
     assert result.samples.shape == (5, 1)
-    assert result.zhat[0] == 1.0
+    assert result.log_zhat[0] == 0.0
+    np.testing.assert_array_equal(result.zhat, np.exp(result.log_zhat))
     fx = get_fixture("single-gaussian")
     exact = np.array(
         [
@@ -684,22 +729,22 @@ def test_staged_estimates_track_closed_form():
     # generous per-level envelope; the acceptance suite pins the real one
     assert np.all(rel > 0.5) and np.all(rel < 2.0)
     assert len(result.stage_stats) == ladder.num_levels
-    assert result.stage_stats[-1].ratio is None
+    assert result.stage_stats[-1].log_ratio is None
+    np.testing.assert_array_equal(
+        np.cumsum([0.0] + [s.log_ratio for s in result.stage_stats[:-1]]), result.log_zhat)
 
 
 def test_single_level_main_is_plain_sampling():
     orc, ladder, params = small_gaussian_setup(total_time=10.0, levels=1)
     result = run_main(orc, ladder, params, RngStream(9), num_final_samples=3)
     assert result.samples.shape == (3, 1)
-    np.testing.assert_array_equal(result.zhat, [1.0])
+    np.testing.assert_array_equal(result.log_zhat, [0.0])
     assert result.stage_stats[0].runs_accepted == 3
 
 
-def test_estimation_failure_on_degenerate_ratio():
-    # a huge constant potential underflows the stage-1 ratio to zero, which
-    # must surface as a diagnostic rather than a broken ladder downstream
+def constant_potential_run(value, seed):
     orc = FunctionOracle(
-        value_fn=lambda x: 1e6, grad_fn=lambda x: np.zeros(1), dim=1
+        value_fn=lambda x: value, grad_fn=lambda x: np.zeros(1), dim=1
     )
     ladder = two_level_ladder(beta1=0.5, z2=1.0)
     params = RunParams(
@@ -710,8 +755,22 @@ def test_estimation_failure_on_degenerate_ratio():
         target_accuracy=0.5,
         constants=ScheduleConstants(),
     )
-    with pytest.raises(EstimationFailure):
-        run_main(orc, ladder, params, RngStream(21))
+    return run_main(orc, ladder, params, RngStream(seed))
+
+
+def test_underflowing_ratio_is_kept_in_log_space():
+    # the stage-1 ratio exp(-5e5) underflows a float; its log does not, and
+    # with it the two levels are equally likely at every position
+    result = constant_potential_run(1e6, 21)
+    assert result.log_zhat[1] == -5e5
+    assert result.stage_stats[0].log_ratio == -5e5
+
+
+def test_estimation_failure_on_degenerate_ratio():
+    # an infinite potential gives a log ratio of -inf, which must surface as
+    # a diagnostic rather than a broken ladder downstream
+    with pytest.raises(EstimationFailure, match="-inf"):
+        constant_potential_run(math.inf, 21)
 
 
 def test_estimation_failure_on_rejection_ceiling():
