@@ -13,8 +13,8 @@ Four modes, all reading one JSON config validated against a strict schema:
 Exit codes: 0 all checks passed, 1 a check failed (the failing report path
 is printed), 2 usage or config/schema errors, non-finite config numbers,
 fixtures and schedules the library cannot build from the config's values,
-and failed sampling runs (a stage that keeps too few runs, a step that
-overflows, a long run with no coldest-level sample).
+and failed sampling runs (a stage that keeps too few runs, staging past its
+work bound, a step that overflows, a long run with no coldest-level sample).
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from .fixtures import (
 )
 from .ladder import RunParams, ScheduleConstants, build_ladder_gaussian, build_ladder_logconcave
 from .sampler import (MAX_RUN_STEPS, EstimationFailure, NonFiniteGradient, RngStream,
-                      _run_steps_bound, _samples_per_stage, run_main, run_plain_langevin,
-                      run_stlmc)
+                      _run_steps_bound, run_main, run_plain_langevin, run_stlmc)
 
 __all__ = ["main"]
 
@@ -153,20 +152,17 @@ def _run_params(params: RunParams, run: str, time_key: str, **changes) -> RunPar
     least one Langevin step and, by the sampler's bound, at most MAX_RUN_STEPS
     expected steps.  time_key names the config setting that sets the run's
     total time."""
-    step_size = changes.get("step_size", params.step_size)
-    total_time = changes.get("total_time", params.total_time)
-    if step_size > total_time:
-        raise ConfigError(
-            f"{run} is shorter than one Langevin step (total time {total_time:.6g} < "
-            f"step size {step_size:.6g}); lower overrides.step_size or raise {time_key}"
-        )
-    params = replace(params, **changes)
+    try:
+        params = replace(params, **changes)
+    except ValueError as e:
+        raise ConfigError(f"{run} is shorter than one Langevin step ({e}); lower "
+                          f"overrides.step_size or raise {time_key}") from None
     steps = _run_steps_bound(params)
     if steps > MAX_RUN_STEPS:
         raise ConfigError(
-            f"{run} may take {steps:.3g} Langevin steps (total time {total_time:.6g} x "
-            f"(1 / step size {step_size:.6g} + swap rate {params.swap_rate:.6g}) + 1), more "
-            f"than {MAX_RUN_STEPS:.0e}; raise overrides.step_size, or lower "
+            f"{run} may take {steps:.3g} Langevin steps (total time {params.total_time:.6g} x "
+            f"(1 / step size {params.step_size:.6g} + swap rate {params.swap_rate:.6g}) + 1), "
+            f"more than {MAX_RUN_STEPS:.0e}; raise overrides.step_size, or lower "
             f"overrides.swap_rate or {time_key}"
         )
     return params
@@ -198,8 +194,8 @@ def _ladder_for(fixture: Fixture, config: dict):
 
 def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
     """Stage the partition estimates, then run one long tempering chain with
-    the config `section`'s main_time, after checking every run length and the
-    least work of staging.  Returns (ladder, long_params, staged, rec, rng,
+    the config `section`'s main_time, after checking every run length (run_main
+    bounds the work of staging).  Returns (ladder, long_params, staged, rec, rng,
     samples), where samples are the long run's coldest-level positions; a long
     run that records none is refused."""
     ladder, params = _ladder_for(fixture, config)
@@ -207,21 +203,11 @@ def _staged_long_run(fixture: Fixture, config: dict, section: str, thin: int):
     main_time = cfg.get("main_time", params.total_time)
     long_params = _run_params(params, "the long run", f"{section}.main_time",
                               total_time=main_time)
-    L = ladder.num_levels
-    need = _samples_per_stage(params, L)
-    steps = _run_steps_bound(params)
-    if steps * ((L - 1) * need + 1) > MAX_RUN_STEPS:
-        raise ConfigError(
-            f"staging may take {steps * ((L - 1) * need + 1):.3g} Langevin steps "
-            f"({L - 1} stages of at least {need} kept runs of up to {steps:.3g} steps, plus the "
-            f"final run), more than {MAX_RUN_STEPS:.0e}; lower schedule.c_samples, raise "
-            f"overrides.step_size, or lower overrides.swap_rate or overrides.total_time"
-        )
     rng = RngStream(config["seed"])
     staged = run_main(fixture.oracle, ladder, params, rng, num_final_samples=1)
     full = replace(ladder, log_partition_estimates=staged.log_zhat)
     rec = run_stlmc(fixture.oracle, full, long_params, rng, thin=thin)
-    samples = rec.positions_at_level(L)
+    samples = rec.positions_at_level(ladder.num_levels)
     if samples.shape[0] == 0:
         raise ConfigError(f"the long run ({long_params.total_time:.6g} time units) recorded no "
                           f"sample at the coldest level; raise {section}.main_time")
@@ -589,8 +575,9 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (EstimationFailure, NonFiniteGradient) as e:
-        keys = ("overrides.step_size" if isinstance(e, NonFiniteGradient) else
-                "overrides.swap_rate, overrides.total_time or schedule.c_samples")
+        keys = "overrides.step_size"
+        if isinstance(e, EstimationFailure):
+            keys += ", overrides.swap_rate, overrides.total_time or schedule.c_samples"
         print(f"config error: {e}; change {keys}", file=sys.stderr)
         return 2
     return 0 if ok else 1

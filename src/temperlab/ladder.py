@@ -115,7 +115,7 @@ class RunParams:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if self.step_size > self.total_time:
-            raise ValueError("step_size cannot exceed total_time")
+            raise ValueError(f"step_size {self.step_size:.6g} > total_time {self.total_time:.6g}")
         if not 0 < self.target_accuracy < 1:
             raise ValueError("target_accuracy must be in (0, 1)")
 
@@ -284,12 +284,14 @@ def validate_partition_estimates(
     if z_true.shape != (L,) or np.any(z_true <= 0):
         raise ValueError("need one positive true partition value per level")
     log_rel = ladder.log_partition_estimates - np.log(z_true)
-    rel = np.exp(log_rel - log_rel[0])
+    log_rel = log_rel - log_rel[0]
     i = np.arange(L)
     lo = (1.0 - 1.0 / L) ** i
     hi = (1.0 + 1.0 / L) ** i
+    with np.errstate(over="ignore"):  # a ratio past the float range reads inf
+        rel = np.exp(log_rel)
+        worst = float(np.exp(np.max(np.maximum(log_rel - np.log(hi), np.log(lo) - log_rel))))
     ok = (rel >= lo * (1.0 - 1e-12)) & (rel <= hi * (1.0 + 1e-12))
-    worst = float(np.max(np.maximum(rel / hi, lo / np.where(rel > 0, rel, np.inf))))
     return PartitionCheck(
         ratios=rel,
         lo=lo,

@@ -59,7 +59,7 @@ class NonFiniteGradient(RuntimeError):
 
 
 class EstimationFailure(RuntimeError):
-    """Partition estimation could not produce enough accepted runs."""
+    """Staging could not keep enough runs within its rejection and work bounds."""
 
 
 class RngStream:
@@ -203,10 +203,11 @@ def run_plain_langevin(
     """Untempered Langevin baseline for torpid-mixing comparisons.
 
     Row 0 of the record is x0; rows follow every `thin`-th step and always
-    the last one.  Level is 1 throughout (there is no ladder).
+    the last one.  Level is 1 throughout (there is no ladder).  More than
+    MAX_RUN_STEPS steps are refused before anything is allocated.
     """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
+    if not 1 <= num_steps <= MAX_RUN_STEPS:
+        raise ValueError(f"num_steps {num_steps} must be in [1, {MAX_RUN_STEPS:.0e}]")
     if thin < 1:
         raise ValueError("thin must be >= 1")
     if eta <= 0:
@@ -423,7 +424,7 @@ def estimate_log_partition_ratio(
 CONFIDENCE = 0.05
 
 
-def _samples_per_stage(params: RunParams, num_levels: int, confidence: float = CONFIDENCE) -> int:
+def _samples_per_stage(params: RunParams, num_levels: int, confidence: float) -> int:
     """Accepted runs run_main keeps at each stage before the last:
     ceil(c_samples L^2 log(1/confidence)), at least one."""
     return max(
@@ -474,37 +475,49 @@ def run_main(
 
     Aborts with EstimationFailure if a stage's rejection rate stays above
     REJECTION_CEILING after a generous number of attempts; that signals the
-    partition estimates (and hence level mixing) have gone wrong.
+    partition estimates (and hence level mixing) have gone wrong.  All runs,
+    kept or not, count against MAX_RUN_STEPS; staging whose least work is
+    above it is refused before the first draw.
     """
     L = ladder.num_levels
     log_zhat = np.zeros(L)
     n_per_stage = _samples_per_stage(params, L, confidence)
+    run_steps = _run_steps_bound(params)
+    least = run_steps * ((L - 1) * n_per_stage + num_final_samples)
+    if least > MAX_RUN_STEPS:
+        raise EstimationFailure(
+            f"staging may take {least:.3g} Langevin steps ({L - 1} stages of at least "
+            f"{n_per_stage} kept runs of up to {run_steps:.3g} steps, and {num_final_samples} "
+            f"at the last stage), more than {MAX_RUN_STEPS:.0e}"
+        )
+    spent = 0
     stages: list[StageStats] = []
-    samples = None
 
     for ell in range(1, L + 1):
         sub = replace(ladder.prefix(ell), log_partition_estimates=log_zhat[:ell])
         need = num_final_samples if ell == L else n_per_stage
         got: list[np.ndarray] = []
         attempts = 0
-        accepted = 0
         attempt_floor = max(100, 2 * need)
         while len(got) < need:
             rec = run_stlmc(oracle, sub, params, rng)
             attempts += 1
+            spent += rec.total_steps
             if rec.accepted:
-                accepted += 1
                 got.append(rec.positions[-1].copy())  # lets the record be freed
+            if spent > MAX_RUN_STEPS:
+                raise EstimationFailure(
+                    f"stage {ell}/{L}: staging took {spent} Langevin steps, more than "
+                    f"{MAX_RUN_STEPS:.0e}, in {attempts} runs of this stage ({len(got)} kept)")
             if attempts >= attempt_floor:
-                rej = 1.0 - accepted / attempts
+                rej = 1.0 - len(got) / attempts
                 if rej > REJECTION_CEILING:
                     raise EstimationFailure(
-                        f"stage {ell}/{L}: {accepted}/{attempts} runs reached "
-                        f"level {ell} (rejection rate {rej:.4f} > "
-                        f"{REJECTION_CEILING}); log partition estimates so far: "
-                        f"{log_zhat[:ell].tolist()}"
-                    )
+                        f"stage {ell}/{L}: {len(got)}/{attempts} runs reached level {ell} "
+                        f"(rejection rate {rej:.4f} > {REJECTION_CEILING}); log partition "
+                        f"estimates so far: {log_zhat[:ell].tolist()}")
         X = np.asarray(got)
+        log_r = None
         if ell < L:
             log_r = estimate_log_partition_ratio(
                 X, oracle, float(sub.betas[ell - 1]), float(ladder.betas[ell])
@@ -515,9 +528,6 @@ def run_main(
                     f"the sampled potentials are not finite"
                 )
             log_zhat[ell] = log_zhat[ell - 1] + log_r
-            stages.append(StageStats(ell, len(got), attempts, accepted, log_r))
-        else:
-            samples = X
-            stages.append(StageStats(ell, len(got), attempts, accepted, None))
+        stages.append(StageStats(ell, len(got), attempts, len(got), log_r))
 
-    return MainResult(samples=samples, log_zhat=log_zhat, stage_stats=stages)
+    return MainResult(samples=X, log_zhat=log_zhat, stage_stats=stages)

@@ -317,6 +317,16 @@ class TestPartitionEnvelope:
         assert check.worst_ratio == pytest.approx(5.0 / 1.2**2)
         assert check.worst_ratio > 1.0
 
+    def test_worst_ratio_is_computed_from_the_logs(self):
+        ladder = self.make_ladder()
+        for log_z3, worst in ((-30.0, 0.8**2 * math.exp(30.0)), (-800.0, math.inf)):
+            log_z = np.array([0.0, 0.0, log_z3, 0.0, 0.0])
+            check = validate_partition_estimates(
+                replace(ladder, log_partition_estimates=log_z), np.ones(5)
+            )
+            assert not check.passed and not check.ok_per_level[2]
+            assert check.worst_ratio == pytest.approx(worst)
+
     def test_boundary_value_counts_as_inside(self):
         ladder = self.make_ladder()
         L = ladder.num_levels

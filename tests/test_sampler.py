@@ -6,6 +6,7 @@ driver, so any drift in draw order or arithmetic grouping fails loudly.
 """
 
 import math
+import re
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -64,6 +65,15 @@ class UniformSequenceRng(ZeroNoiseRng):
 
     def uniform(self):
         return next(self.uniforms)
+
+
+class NoDrawRng:
+    """Test stub: any draw fails the test."""
+
+    def normal(self, *args):
+        raise AssertionError("drew from the rng")
+
+    uniform = exponentials = normal
 
 
 def quadratic_oracle(dim=2):
@@ -578,6 +588,14 @@ def test_long_segment_replays_across_noise_blocks():
     assert rec.total_steps == m
 
 
+def test_plain_run_beyond_the_run_bound_is_refused_before_allocating():
+    # 1e13 steps would ask np.arange alone for 80 TB
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="num_steps 10000000000000"):
+        run_plain_langevin(quadratic_oracle(1), 1.0, 0.1, 10**13, np.zeros(1), NoDrawRng())
+    assert time.perf_counter() - start < 1.0
+
+
 def test_plain_langevin_replays_across_noise_blocks():
     fx = get_fixture("two-mode-symmetric")
     n, thin, eta = 9001, 7, 0.02
@@ -782,3 +800,34 @@ def test_estimation_failure_on_rejection_ceiling():
         run_main(orc, ladder, params, RngStream(22))
     assert "stage 2/3: 0/100 runs reached level 2" in str(err.value)
     assert "rejection rate" in str(err.value)
+
+
+def headline_staging(c_samples, **overrides):
+    fx = get_fixture("two-mode-symmetric")
+    ladder, params = build_ladder_gaussian(
+        fx.dim, D=fx.D, sigma=fx.target.base.sigma, w_min=fx.w_min, target_accuracy=0.1,
+        constants=ScheduleConstants(c_samples=c_samples),
+    )
+    return fx.oracle, ladder, replace(params, **overrides)
+
+
+def test_rejected_runs_count_against_the_work_bound(monkeypatch):
+    # no run ever leaves level 1, so stage 2 keeps none of its 4-step runs; the
+    # least work, 5 steps x (7 stages x 10 kept runs + 1), is 355 and passes
+    orc, ladder, params = headline_staging(0.05, total_time=2.0, step_size=0.5,
+                                           swap_rate=1e-9)
+    assert ladder.num_levels == 8
+    monkeypatch.setattr("temperlab.sampler.MAX_RUN_STEPS", 400)
+    with pytest.raises(EstimationFailure, match=r"stage 2/8: staging took \d+ Langevin steps") as err:
+        run_main(orc, ladder, params, RngStream(2))
+    runs = int(re.search(r"in (\d+) runs of this stage \(0 kept\)", str(err.value)).group(1))
+    assert runs < 100  # before the rejection ceiling's attempt floor
+
+
+def test_unaffordable_staging_is_refused_before_any_draw():
+    # 2e8 steps per staged run, times 192 kept runs at each of 7 stages
+    orc, ladder, params = headline_staging(1.0, total_time=1e7, step_size=0.05)
+    start = time.perf_counter()
+    with pytest.raises(EstimationFailure, match="staging may take 2.7e\\+11 Langevin steps"):
+        run_main(orc, ladder, params, NoDrawRng())
+    assert time.perf_counter() - start < 1.0
