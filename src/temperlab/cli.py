@@ -236,50 +236,24 @@ def _mode_sample(config: dict, out_dir: Path) -> bool:
         fixture, config, "sample", thin)
 
     _write_csv(out_dir / "samples.csv", [f"x{i}" for i in range(samples.shape[1])], samples)
-    run_doc = {
+    _write_json(out_dir / "run.json", {
         "mode": "sample",
         "seed": config["seed"],
         "fixture": fixture.name,
         "betas": ladder.betas,
         "log_zhat": staged.log_zhat,
-        "params": {
-            "swap_rate": long_params.swap_rate,
-            "step_size": long_params.step_size,
-            "total_time": long_params.total_time,
-            "init_std": long_params.init_std,
-            "target_accuracy": long_params.target_accuracy,
-        },
-        "stages": [
-            {
-                "levels": s.num_levels,
-                "samples_kept": s.samples_kept,
-                "runs_attempted": s.runs_attempted,
-                "runs_accepted": s.runs_accepted,
-                "log_ratio": s.log_ratio,
-            }
-            for s in staged.stage_stats
-        ],
-    }
-    _write_json(out_dir / "run.json", run_doc)
+        "params": long_params,
+        "stages": staged.stage_stats,
+    })
 
     metrics = {
         **_graded(samples, fixture.target),
         "total_steps": rec.total_steps,
         "level_occupancy": rec.level_occupancy(),
-        "swap": {
-            "attempts": rec.swap_stats.attempts,
-            "accepts": rec.swap_stats.accepts,
-            "out_of_bounds": rec.swap_stats.out_of_bounds,
-        },
+        "swap": rec.swap_stats,
     }
     if samples.shape[0] >= 4:
-        ac = integrated_autocorr(samples[:, 0])
-        metrics["autocorr"] = {
-            "tau_int": ac.tau_int,
-            "ess": ac.ess,
-            "lag": ac.lag,
-            "degenerate": ac.degenerate,
-        }
+        metrics["autocorr"] = integrated_autocorr(samples[:, 0])
     _write_json(out_dir / "metrics.json", metrics)
     _write_manifest(out_dir, "sample", config, ["samples.csv", "run.json", "metrics.json"])
     print(f"wrote {out_dir}/samples.csv ({samples.shape[0]} samples)")

@@ -12,7 +12,7 @@ one and two; the sampler, not the grid, is the tool above that.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -251,15 +251,16 @@ class CheckReport:
 
 def _report_dict(report) -> dict:
     """A report dataclass as _jsonable data, without `details` when empty."""
-    out = _jsonable(asdict(report))
+    out = _jsonable(report)
     if not report.details:
         del out["details"]
     return out
 
 
 def _jsonable(obj):
-    """Plain JSON data: numpy scalars become Python ones, arrays lists, and
-    non-finite floats the strings "inf", "-inf" or "nan"."""
+    """Plain JSON data: dataclass instances become dicts of their fields, numpy
+    scalars Python ones, arrays lists, and non-finite floats the strings "inf",
+    "-inf" or "nan"."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -273,6 +274,8 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
+    if is_dataclass(obj):
+        return _jsonable(asdict(obj))
     return obj
 
 

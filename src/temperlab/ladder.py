@@ -107,7 +107,6 @@ class RunParams:
     step_size: float
     total_time: float
     init_std: float
-    target_accuracy: float
     constants: ScheduleConstants = field(default_factory=ScheduleConstants)
 
     def __post_init__(self):
@@ -116,8 +115,6 @@ class RunParams:
                 raise ValueError(f"{name} must be finite and > 0")
         if self.step_size > self.total_time:
             raise ValueError(f"step_size {self.step_size:.6g} > total_time {self.total_time:.6g}")
-        if not 0 < self.target_accuracy < 1:
-            raise ValueError("target_accuracy must be in (0, 1)")
 
 
 def _geometric_ladder(beta1: float, ratio: float) -> np.ndarray:
@@ -147,7 +144,7 @@ def _check_common(dim: int, w_min: float, target_accuracy: float) -> None:
         raise ValueError("target_accuracy must be in (0, 1)")
 
 
-def _schedule(betas, D, T, terms, eta_scale, init_std, eps, c):
+def _schedule(betas, D, T, terms, eta_scale, init_std, c):
     """Ladder on `betas` and its RunParams: swap rate 1 / D^2, and a step of
     0.1 * eta_scale times the smallest of the step terms."""
     ladder = TemperatureLadder(betas=betas, log_partition_estimates=np.zeros(betas.size))
@@ -156,7 +153,6 @@ def _schedule(betas, D, T, terms, eta_scale, init_std, eps, c):
         step_size=0.1 * eta_scale * min(terms),
         total_time=T,
         init_std=init_std,
-        target_accuracy=eps,
         constants=c,
     )
     return ladder, params
@@ -201,7 +197,7 @@ def build_ladder_gaussian(
             sigma * eps / (dim * T),
         )
         return _schedule(betas, D, T, terms, sigma**3 * eps / D**2,
-                         sigma / math.sqrt(beta1), eps, c)
+                         sigma / math.sqrt(beta1), c)
     except (OverflowError, ZeroDivisionError) as e:
         raise ValueError(
             f"no Gaussian schedule for sigma={sigma}, D={D}, dim={dim}, w_min={w_min}, "
@@ -250,7 +246,7 @@ def build_ladder_logconcave(
             eps / (D**2.5 * K**1.5 * (math.sqrt(K / kappa) + 1.0)),
             eps / (D**2 * K**2 * dim * T),
         )
-        return _schedule(betas, D, T, terms, 1.0, 1.0 / math.sqrt(kappa * beta1), eps, c)
+        return _schedule(betas, D, T, terms, 1.0, 1.0 / math.sqrt(kappa * beta1), c)
     except (OverflowError, ZeroDivisionError) as e:
         raise ValueError(
             f"no log-concave schedule for kappa={kappa}, K={K}, dim={dim}, D={D}, "
@@ -281,8 +277,8 @@ def validate_partition_estimates(
     """
     z_true = np.asarray(true_values, dtype=float)
     L = ladder.num_levels
-    if z_true.shape != (L,) or np.any(z_true <= 0):
-        raise ValueError("need one positive true partition value per level")
+    if z_true.shape != (L,) or not np.all((0 < z_true) & (z_true < np.inf)):
+        raise ValueError("need one positive, finite true partition value per level")
     log_rel = ladder.log_partition_estimates - np.log(z_true)
     log_rel = log_rel - log_rel[0]
     i = np.arange(L)

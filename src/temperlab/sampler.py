@@ -337,10 +337,17 @@ def run_stlmc(
     ceil(segment/eta) Langevin steps of equal size segment/ceil(segment/eta),
     the largest step below eta that divides the segment evenly.  The record
     keeps every `thin`-th step plus the state right after each level move,
-    and `accepted` says whether the run ended at the target level.
+    and `accepted` says whether the run ended at the target level.  A run
+    whose step bound is above MAX_RUN_STEPS is refused before the first draw.
     """
     if thin < 1:
         raise ValueError("thin must be >= 1")
+    bound = _run_steps_bound(params)
+    if bound > MAX_RUN_STEPS:
+        raise ValueError(
+            f"the run may take {bound:.3g} Langevin steps, more than {MAX_RUN_STEPS:.0e}; "
+            f"raise step_size {params.step_size:.6g}, or lower total_time "
+            f"{params.total_time:.6g} or swap_rate {params.swap_rate:.6g}")
     L = ladder.num_levels
     target = L if target_level is None else int(target_level)
     if not 1 <= target <= L:
@@ -437,7 +444,6 @@ class StageStats:
     """Bookkeeping for one prefix stage of the staged driver."""
 
     num_levels: int
-    samples_kept: int
     runs_attempted: int
     runs_accepted: int
     log_ratio: float | None
@@ -528,6 +534,6 @@ def run_main(
                     f"the sampled potentials are not finite"
                 )
             log_zhat[ell] = log_zhat[ell - 1] + log_r
-        stages.append(StageStats(ell, len(got), attempts, len(got), log_r))
+        stages.append(StageStats(ell, attempts, len(got), log_r))
 
     return MainResult(samples=X, log_zhat=log_zhat, stage_stats=stages)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import fields
 from importlib import resources
 
 import jsonschema
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 from temperlab.cli import _fixture_from_config, _ladder_for, main
+from temperlab.diagnostics import AutocorrEstimate
 from temperlab.fixtures import builtin_fixture_names, get_fixture
-from temperlab.ladder import ScheduleConstants, build_ladder_logconcave
+from temperlab.ladder import RunParams, ScheduleConstants, build_ladder_logconcave
+from temperlab.sampler import StageStats, SwapStats
 
 EXPECTED_FIXTURES = (
     "single-gaussian",
@@ -490,7 +493,15 @@ class TestSampleMode:
         log_ratios = [s["log_ratio"] for s in run["stages"][:-1]]
         assert all(math.isfinite(r) for r in log_ratios)
         assert run["log_zhat"] == pytest.approx(np.cumsum([0.0] + log_ratios), abs=1e-12)
+        # the library's records, written whole
+        def names(record):
+            return {f.name for f in fields(record)}
+        assert all(set(stage) == names(StageStats) for stage in run["stages"])
+        assert set(run["params"]) == names(RunParams)
+        assert set(run["params"]["constants"]) == {"c_samples"}
         metrics = json.loads((out / "metrics.json").read_text())
+        assert set(metrics["swap"]) == names(SwapStats)
+        assert set(metrics["autocorr"]) == names(AutocorrEstimate)
         assert metrics["num_samples"] >= 1
         assert "tv" in metrics
         assert "mode_masses" in metrics

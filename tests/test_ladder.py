@@ -193,11 +193,6 @@ class TestRunParamsValidation:
         q = replace(p, swap_rate=1e-12)
         assert q.swap_rate == 1e-12
 
-    def test_accuracy_range(self):
-        p = self.base()
-        with pytest.raises(ValueError):
-            replace(p, target_accuracy=1.5)
-
 
 def test_schedule_constants_validated():
     with pytest.raises(ValueError, match="c_samples"):
@@ -207,6 +202,7 @@ def test_schedule_constants_validated():
 
 
 LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accuracy=0.1)
+THREE_LEVELS = TemperatureLadder(betas=[0.25, 0.5, 1.0], log_partition_estimates=np.zeros(3))
 
 
 @pytest.mark.parametrize(
@@ -251,13 +247,27 @@ LOGCONCAVE_ARGS = dict(dim=2, D=5.0, kappa=0.5, K=1.0, w_min=0.5, target_accurac
         # the ladder ratio 1 + kappa / (K d cond) rounds to 1
         (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "kappa": 1e-300}),
          "kappa=1e-300"),
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "target_accuracy": 1.5}),
+         "target_accuracy"),
+        (lambda: build_ladder_gaussian(**{**GAUSS_ARGS, "target_accuracy": math.nan}),
+         "target_accuracy"),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "target_accuracy": 1.5}),
+         "target_accuracy"),
+        (lambda: build_ladder_logconcave(**{**LOGCONCAVE_ARGS, "target_accuracy": math.nan}),
+         "target_accuracy"),
+        (lambda: validate_partition_estimates(THREE_LEVELS, [1.0, math.nan, 1.0]),
+         "one positive, finite true partition value"),
+        (lambda: validate_partition_estimates(THREE_LEVELS, [1.0, math.inf, 1.0]),
+         "one positive, finite true partition value"),
     ],
     ids=["ladder-beta", "nan-log-estimate", "inf-log-estimate", "zero-estimate",
          "inf-estimate", "step_size", "swap_rate", "init_std", "inf-total_time", "gaussian-D",
          "gaussian-sigma", "logconcave-D", "inf-gaussian-D", "inf-gaussian-sigma",
          "inf-logconcave-D", "inf-kappa", "inf-K", "tiny-gaussian-w_min",
          "tiny-logconcave-w_min", "huge-gaussian-D", "huge-logconcave-D",
-         "huge-gaussian-sigma", "tiny-kappa"],
+         "huge-gaussian-sigma", "tiny-kappa", "gaussian-accuracy", "nan-gaussian-accuracy",
+         "logconcave-accuracy", "nan-logconcave-accuracy", "nan-true-partition",
+         "inf-true-partition"],
 )
 def test_non_finite_input_is_refused_by_name(build, message):
     with pytest.raises(ValueError, match=message):

@@ -151,8 +151,7 @@ def _plain_run(orc):
 
 def _tempering_run(orc):
     ladder = TemperatureLadder(betas=np.array([1.0]), log_partition_estimates=np.zeros(1))
-    params = RunParams(swap_rate=1e-12, step_size=4.0, total_time=12.0, init_std=1.0,
-                       target_accuracy=0.5)
+    params = RunParams(swap_rate=1e-12, step_size=4.0, total_time=12.0, init_std=1.0)
     return run_stlmc(orc, ladder, params, ZeroNoiseRng(), thin=1)
 
 
@@ -523,7 +522,6 @@ def test_no_swaps_reduces_to_plain_langevin():
         step_size=0.3,
         total_time=6.0,
         init_std=1.0,
-        target_accuracy=0.5,
         constants=ScheduleConstants(),
     )
     seed = 4
@@ -566,7 +564,6 @@ def test_long_segment_replays_across_noise_blocks():
         step_size=0.01,
         total_time=45.0,
         init_std=1.0,
-        target_accuracy=0.5,
         constants=ScheduleConstants(),
     )
     seed = 12
@@ -586,6 +583,17 @@ def test_long_segment_replays_across_noise_blocks():
     np.testing.assert_array_equal(rec.levels, np.ones(len(steps)))
     np.testing.assert_array_equal(rec.positions, np.array(xs))
     assert rec.total_steps == m
+
+
+def test_overlong_tempering_run_is_refused_before_any_draw():
+    # 1e5 expected level moves pass draw_swap_times, but the steps between them
+    # take 1e8 / 0.05 = 2e9, which would size a record of about 2e8 rows
+    params = RunParams(swap_rate=1e-3, step_size=0.05, total_time=1e8, init_std=1.0)
+    ladder = TemperatureLadder(betas=np.array([0.5, 1.0]), log_partition_estimates=np.zeros(2))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"2e\+09 Langevin steps.*step_size.*total_time.*swap_rate"):
+        run_stlmc(quadratic_oracle(1), ladder, params, NoDrawRng())
+    assert time.perf_counter() - start < 1.0
 
 
 def test_plain_run_beyond_the_run_bound_is_refused_before_allocating():
@@ -626,7 +634,6 @@ def test_single_level_long_run_moments():
         step_size=eta,
         total_time=2000.0,
         init_std=1.0,
-        target_accuracy=0.5,
         constants=ScheduleConstants(),
     )
     rec = run_stlmc(orc, ladder, params, RngStream(3), thin=1)
@@ -770,7 +777,6 @@ def constant_potential_run(value, seed):
         step_size=0.5,
         total_time=2.0,
         init_std=1.0,
-        target_accuracy=0.5,
         constants=ScheduleConstants(),
     )
     return run_main(orc, ladder, params, RngStream(seed))
